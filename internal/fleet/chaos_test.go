@@ -31,22 +31,25 @@ func tinyGrid() sweep.Grid {
 	}
 }
 
+// TestRetryBackoffDeterministicAndBounded: the fleet's RetryPolicy paces
+// retries with jitter that is a pure function of (seed, call, attempt)
+// and stays within [d/2, d) of the doubling-then-capped delay d.
 func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
+	p := RetryPolicy{}.WithDefaults()
 	for k := 1; k < p.Attempts; k++ {
 		d := p.Max
 		if exp := p.Base << (k - 1); exp > 0 && exp < p.Max {
 			d = exp
 		}
-		got := p.backoff(11, 3, k)
+		got := p.Backoff(11, 3, k)
 		if got < d/2 || got >= d {
 			t.Fatalf("backoff k=%d: %v outside [%v, %v)", k, got, d/2, d)
 		}
-		if got != p.backoff(11, 3, k) {
+		if got != p.Backoff(11, 3, k) {
 			t.Fatalf("backoff k=%d not deterministic", k)
 		}
 	}
-	if p.backoff(11, 3, 1) == p.backoff(12, 3, 1) && p.backoff(11, 4, 1) == p.backoff(11, 3, 1) {
+	if p.Backoff(11, 3, 1) == p.Backoff(12, 3, 1) && p.Backoff(11, 4, 1) == p.Backoff(11, 3, 1) {
 		t.Fatal("jitter ignores seed and call number")
 	}
 }
@@ -240,6 +243,65 @@ func TestResumeRefusesForeignLog(t *testing.T) {
 	}
 	if _, err := NewCoordinator(grid, CoordinatorOptions{ShardCount: 3, Dir: t.TempDir(), Resume: true}); err == nil || !strings.Contains(err.Error(), "nothing to resume") {
 		t.Fatalf("resume without a log: want error, got %v", err)
+	}
+}
+
+// TestCoordLogShortWriteKeepsServing injects one short write into
+// coord.log: the grant it tore is refused, the coordinator keeps leasing,
+// and a resume replays every acknowledged record. The failed append must
+// stop the log until the partial record is cut away — a record appended
+// behind it would make resume fail on a crc mismatch, or drop that
+// acknowledged record as a torn tail.
+func TestCoordLogShortWriteKeepsServing(t *testing.T) {
+	grid := tinyGrid()
+	dir := t.TempDir()
+	opt := CoordinatorOptions{ShardCount: 3, Dir: dir, LeaseTTL: time.Minute}
+	c0, err := NewCoordinator(grid, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0.Close()
+
+	// The schedule's one fault tears the first append after resume.
+	opt.Resume = true
+	ffs := chaos.NewFaultFS(nil, chaos.FSOptions{Seed: 1, WriteFail: 1, MaxFaults: 1})
+	c, err := newCoordinator(grid, opt, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	var refused LeaseResponse
+	code, err := postJSON(context.Background(), http.DefaultClient, srv.URL+"/v1/lease", LeaseRequest{Worker: "torn"}, &refused)
+	if err != nil || code != http.StatusInternalServerError || ffs.Faults() != 1 {
+		t.Fatalf("torn grant: code=%d err=%v faults=%d, want a refused lease", code, err, ffs.Faults())
+	}
+	la := leaseFrom(t, srv.URL, "w-done")
+	lb := leaseFrom(t, srv.URL, "w-live")
+	runShard(t, la)
+	var ack OKResponse
+	if code, err := postJSON(context.Background(), http.DefaultClient, srv.URL+"/v1/complete",
+		CompleteRequest{LeaseID: la.LeaseID, Dir: la.Dir}, &ack); err != nil || code != http.StatusOK {
+		t.Fatalf("complete: code=%d err=%v", code, err)
+	}
+	c.Close()
+
+	c2, err := NewCoordinator(grid, opt)
+	if err != nil {
+		t.Fatalf("resume after a torn append: %v", err)
+	}
+	defer c2.Close()
+	st := c2.Status()
+	if s := st.Shards[la.Shard]; s.State != stateDone {
+		t.Fatalf("acknowledged completion lost: %+v", s)
+	}
+	if s := st.Shards[lb.Shard]; s.State != stateLeased || s.Worker != "w-live" {
+		t.Fatalf("acknowledged grant lost: %+v", s)
+	}
+	for _, s := range st.Shards {
+		if s.Worker == "torn" || s.Retries != 0 {
+			t.Fatalf("refused grant replayed: %+v", s)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"doda/internal/chaos"
 	"doda/internal/sweep"
 	"doda/internal/sweepd"
 )
@@ -92,6 +93,11 @@ type Coordinator struct {
 
 // NewCoordinator validates the grid and builds the partition table.
 func NewCoordinator(grid sweep.Grid, opt CoordinatorOptions) (*Coordinator, error) {
+	return newCoordinator(grid, opt, chaos.Disk)
+}
+
+// newCoordinator is NewCoordinator journaling coord.log through fsys.
+func newCoordinator(grid sweep.Grid, opt CoordinatorOptions, fsys chaos.FS) (*Coordinator, error) {
 	if opt.ShardCount < 1 {
 		return nil, fmt.Errorf("fleet: shard count %d < 1", opt.ShardCount)
 	}
@@ -134,11 +140,11 @@ func NewCoordinator(grid sweep.Grid, opt CoordinatorOptions) (*Coordinator, erro
 		return nil, err
 	}
 	if opt.Resume {
-		if err := c.resume(); err != nil {
+		if err := c.resume(fsys); err != nil {
 			return nil, err
 		}
 	} else {
-		log, err := createCoordLog(opt.Dir, coordRecord{
+		log, err := createCoordLog(fsys, opt.Dir, coordRecord{
 			Kind:        recHeader,
 			Version:     coordLogVersion,
 			Fingerprint: fp,
@@ -161,13 +167,13 @@ func NewCoordinator(grid sweep.Grid, opt CoordinatorOptions) (*Coordinator, erro
 // checkpoint directory is scanned — a shard that finished but whose
 // completion call was lost with the old coordinator is detected by its
 // full journal and marked done.
-func (c *Coordinator) resume() error {
+func (c *Coordinator) resume(fsys chaos.FS) error {
 	now := time.Now()
 	sawHeader := false
 	// Records are applied as they stream off disk — the log is never
 	// held in memory whole, so a multi-MB log from a long fleet replays
 	// in O(one record) space.
-	log, err := openCoordLog(c.opt.Dir, func(i int, rec coordRecord) error {
+	log, err := openCoordLog(fsys, c.opt.Dir, func(i int, rec coordRecord) error {
 		if i == 0 {
 			if rec.Kind != recHeader {
 				return fmt.Errorf("fleet: %s/%s: missing header record", c.opt.Dir, coordLogName)
@@ -290,7 +296,7 @@ func (c *Coordinator) adoptFinishedCheckpoints() int {
 		if len(seen) < want[i] {
 			continue
 		}
-		if err := c.log.append(coordRecord{Kind: recComplete, Shard: i, Dir: s.dir, Reason: "checkpoint scan"}); err != nil {
+		if err := c.log.append(coordRecord{Kind: recComplete, Shard: i, Dir: s.dir, Reason: "checkpoint scan"}, true); err != nil {
 			continue
 		}
 		if s.leaseID != "" {
@@ -370,7 +376,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // retry budget is spent, marks it permanently failed.
 func (c *Coordinator) requeueLocked(i int, reason string) {
 	s := c.shards[i]
-	c.log.appendNoSync(coordRecord{Kind: recRequeue, Shard: i, Worker: s.worker, LeaseID: s.leaseID, Reason: reason})
+	c.log.append(coordRecord{Kind: recRequeue, Shard: i, Worker: s.worker, LeaseID: s.leaseID, Reason: reason}, false)
 	delete(c.byLease, s.leaseID)
 	s.state = statePending
 	s.worker = ""
@@ -379,7 +385,7 @@ func (c *Coordinator) requeueLocked(i int, reason string) {
 	if c.opt.MaxShardRetries > 0 && s.retries >= c.opt.MaxShardRetries {
 		// The fail record is advisory (replay re-derives failure from the
 		// requeue count), so an unsynced append is enough.
-		c.log.appendNoSync(coordRecord{Kind: recFail, Shard: i, Reason: fmt.Sprintf("%d retries", s.retries)})
+		c.log.append(coordRecord{Kind: recFail, Shard: i, Reason: fmt.Sprintf("%d retries", s.retries)}, false)
 		s.state = stateFailed
 		c.logf("fleet: shard %d permanently failed after %d retries (last: %s)", i, s.retries, reason)
 		c.maybeFinishedLocked()
@@ -441,7 +447,11 @@ func (c *Coordinator) Close() error {
 		if c.srv != nil {
 			err = c.srv.Close()
 		}
+		// The expiry loop may still be appending a requeue; every append
+		// holds mu.
+		c.mu.Lock()
 		c.log.Close()
+		c.mu.Unlock()
 	})
 	return err
 }
@@ -516,7 +526,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		// The grant is journaled (and fsynced) before it is committed or
 		// acknowledged: a coordinator that crashes right after answering
 		// still knows about the lease on resume.
-		if err := c.log.append(coordRecord{Kind: recGrant, Shard: i, Worker: req.Worker, LeaseID: leaseID, Seq: seq}); err != nil {
+		if err := c.log.append(coordRecord{Kind: recGrant, Shard: i, Worker: req.Worker, LeaseID: leaseID, Seq: seq}, true); err != nil {
 			c.mu.Unlock()
 			http.Error(w, fmt.Sprintf("journal: %v", err), http.StatusInternalServerError)
 			return
@@ -583,7 +593,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		s := c.shards[i]
 		// Journal first: an unacknowledged completion is retried by the
 		// worker, an acknowledged one must survive a coordinator crash.
-		if err := c.log.append(coordRecord{Kind: recComplete, Shard: i, Worker: s.worker, LeaseID: s.leaseID, Dir: req.Dir}); err != nil {
+		if err := c.log.append(coordRecord{Kind: recComplete, Shard: i, Worker: s.worker, LeaseID: s.leaseID, Dir: req.Dir}, true); err != nil {
 			c.mu.Unlock()
 			http.Error(w, fmt.Sprintf("journal: %v", err), http.StatusInternalServerError)
 			return

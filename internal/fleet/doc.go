@@ -34,14 +34,16 @@
 // # Durability and retries
 //
 // The coordinator journals its own state to Dir/coord.log, an
-// append-only event log in the sweepd record framing (crc32c-guarded
-// JSONL). Grants and completions are fsynced before they are committed
-// in memory or acknowledged on the wire; requeues are appended
-// best-effort, because replay order makes a later grant of the same
-// shard supersede a lost requeue. CoordinatorOptions.Resume rebuilds
-// the partition table from that log: completed shards stay done,
-// granted leases come back with their lease IDs intact and a fresh TTL
-// (so workers that outlived the coordinator just keep heartbeating),
+// append-only internal/recordlog log (crc32c-framed JSONL, one
+// torn-record rule for every doda journal). Grants and completions are
+// fsynced before they are committed in memory or acknowledged on the
+// wire; requeues are appended best-effort, because replay order makes a
+// later grant of the same shard supersede a lost requeue. A failed
+// append stops the log until the next append cuts the partial record
+// away, so no record ever lands behind damage. CoordinatorOptions.Resume
+// rebuilds the partition table from that log: completed shards stay
+// done, granted leases come back with their lease IDs intact and a fresh
+// TTL (so workers that outlived the coordinator just keep heartbeating),
 // and every other shard's checkpoint directory is scanned so work that
 // finished while no coordinator was listening is adopted rather than
 // redone.

@@ -18,6 +18,8 @@ import (
 	"testing"
 	"time"
 
+	"doda/internal/chaos"
+	"doda/internal/recordlog"
 	"doda/internal/sweep"
 	"doda/internal/sweepd"
 )
@@ -400,7 +402,7 @@ func TestResumeStreamsMultiMBLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sweepd.EncodeRecord(body)
+		return recordlog.AppendFrame(nil, body)
 	}
 	var raw bytes.Buffer
 	raw.Write(enc(coordRecord{Kind: recHeader, Version: coordLogVersion, Fingerprint: fp, ShardCount: shards}))
@@ -493,7 +495,7 @@ func TestOpenCoordLogCorruptionRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sweepd.EncodeRecord(body)
+		return recordlog.AppendFrame(nil, body)
 	}
 	header := enc(coordRecord{Kind: recHeader, Version: coordLogVersion, Fingerprint: "fp", ShardCount: 1})
 	grant := enc(coordRecord{Kind: recGrant, Shard: 0, Worker: "w", LeaseID: "l1", Seq: 1})
@@ -512,7 +514,7 @@ func TestOpenCoordLogCorruptionRules(t *testing.T) {
 	}
 	replay := func(dir string) (int, error) {
 		n := 0
-		log, err := openCoordLog(dir, func(int, coordRecord) error { n++; return nil })
+		log, err := openCoordLog(chaos.Disk, dir, func(int, coordRecord) error { n++; return nil })
 		if log != nil {
 			log.Close()
 		}

@@ -1,21 +1,20 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
-	"doda/internal/sweepd"
+	"doda/internal/chaos"
+	"doda/internal/recordlog"
 )
 
 // coordLogName is the coordinator's append-only event log inside the
-// fleet directory. Records reuse the sweepd journal framing (crc32c,
-// space, JSON, newline), so the same torn-tail rules apply: only the
-// final record may be damaged, and only by truncation.
+// fleet directory: recordlog records, under recordlog's torn-record
+// rule — only the final record may be damaged, and only when nothing
+// follows it.
 const coordLogName = "coord.log"
 
 // coordRecord kinds.
@@ -54,28 +53,26 @@ type coordRecord struct {
 // fsynced before the coordinator commits them in memory (and before the
 // worker sees an acknowledgement); requeues are appended without fsync.
 type coordLog struct {
-	f    *os.File
-	path string
+	*recordlog.Appender
 }
 
 // createCoordLog starts a fresh log, refusing to clobber an existing
 // one — a fleet directory with a coord.log is a crashed fleet, and
 // overwriting it silently would destroy the resume evidence.
-func createCoordLog(dir string, header coordRecord) (*coordLog, error) {
-	path := filepath.Join(dir, coordLogName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+func createCoordLog(fsys chaos.FS, dir string, header coordRecord) (*coordLog, error) {
+	body, err := json.Marshal(header)
 	if err != nil {
-		if errors.Is(err, os.ErrExist) {
-			return nil, fmt.Errorf("fleet: %s exists — a previous coordinator ran here; use resume or a fresh directory", path)
-		}
 		return nil, err
 	}
-	l := &coordLog{f: f, path: path}
-	if err := l.append(header); err != nil {
-		f.Close()
+	path := filepath.Join(dir, coordLogName)
+	a, err := recordlog.Create(fsys, path, body)
+	if errors.Is(err, os.ErrExist) {
+		return nil, fmt.Errorf("fleet: %s exists — a previous coordinator ran here; use resume or a fresh directory", path)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return l, nil
+	return &coordLog{a}, nil
 }
 
 // maxCoordRecord bounds one journal line. Real records are a few hundred
@@ -87,131 +84,49 @@ const maxCoordRecord = 1 << 20
 // per intact record, in order, so replay memory stays bounded by one
 // record no matter how large the log grew (a long fleet appends a grant
 // and a completion per lease, plus a requeue per expiry — multi-MB logs
-// are routine). The file is reopened for appending, first truncating
-// away a torn or corrupt final record (the only damage an append+fsync
-// log can legally carry). Corruption before the final record is fatal,
-// as is an error from apply.
-func openCoordLog(dir string, apply func(i int, rec coordRecord) error) (*coordLog, error) {
+// are routine). The file is reopened for appending, first cutting away
+// a torn final record. Corruption before the final record is fatal, as
+// is an error from apply.
+func openCoordLog(fsys chaos.FS, dir string, apply func(i int, rec coordRecord) error) (*coordLog, error) {
 	path := filepath.Join(dir, coordLogName)
 	rf, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("fleet: no %s in %s — nothing to resume", coordLogName, dir)
+	}
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("fleet: no %s in %s — nothing to resume", coordLogName, dir)
-		}
 		return nil, err
 	}
-	br := bufio.NewReaderSize(rf, 64<<10)
-	var keep int64
-	for i := 0; ; i++ {
-		line, err := readCoordLine(br)
-		if errors.Is(err, io.EOF) && len(line) == 0 {
-			break
-		}
-		if err != nil && !errors.Is(err, io.EOF) {
-			rf.Close()
-			return nil, fmt.Errorf("fleet: %s record %d: %w", path, i, err)
-		}
-		// err == io.EOF here means the final line lacks its newline — a
-		// torn append. It can only be the last iteration.
-		torn := errors.Is(err, io.EOF)
-		body, derr := sweepd.DecodeRecord(line)
+	good, _, err := recordlog.Replay(rf, maxCoordRecord, func(i int, body []byte) error {
 		var rec coordRecord
-		if derr == nil {
-			derr = json.Unmarshal(body, &rec)
+		if err := json.Unmarshal(body, &rec); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
 		}
-		if derr != nil {
-			// A damaged record is legal only at the tail: nothing may
-			// follow it.
-			if _, peekErr := br.Peek(1); !torn && peekErr == nil {
-				rf.Close()
-				return nil, fmt.Errorf("fleet: %s record %d: %w", path, i, derr)
-			}
-			break // drop the torn/corrupt final record
-		}
-		if torn {
-			break // intact bytes but no newline: the append still tore
-		}
-		if err := apply(i, rec); err != nil {
-			rf.Close()
-			return nil, err
-		}
-		keep += int64(len(line)) + 1
-	}
+		return apply(i, rec)
+	})
 	rf.Close()
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %s: %w", path, err)
+	}
+	a, err := recordlog.Open(fsys, path, good)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Truncate(keep); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(keep, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &coordLog{f: f, path: path}, nil
+	return &coordLog{a}, nil
 }
 
-// readCoordLine reads one newline-terminated record line (newline
-// stripped), enforcing maxCoordRecord. Returns io.EOF alongside any
-// trailing bytes that lack their newline. The returned slice aliases
-// the reader's buffer in the common case and is valid only until the
-// next call — callers decode before reading again.
-func readCoordLine(br *bufio.Reader) ([]byte, error) {
-	chunk, err := br.ReadSlice('\n')
-	if err == nil {
-		return chunk[:len(chunk)-1], nil
-	}
-	if !errors.Is(err, bufio.ErrBufferFull) {
-		return chunk, err // io.EOF with a partial line, or a read error
-	}
-	// Rare: a record longer than the reader buffer. Accumulate, still
-	// refusing anything over the record bound.
-	line := append([]byte(nil), chunk...)
-	for {
-		chunk, err := br.ReadSlice('\n')
-		line = append(line, chunk...)
-		if errors.Is(err, bufio.ErrBufferFull) {
-			if len(line) > maxCoordRecord {
-				return nil, fmt.Errorf("record exceeds %d bytes", maxCoordRecord)
-			}
-			continue
-		}
-		if err != nil {
-			return line, err
-		}
-		return line[:len(line)-1], nil
-	}
-}
-
-// append journals one record and fsyncs. An error means the event is
-// not durable and must not be acknowledged.
-func (l *coordLog) append(rec coordRecord) error {
+// append journals one record, fsynced when sync is set. An error means
+// the event is not durable and must not be acknowledged. A failed append
+// stops the log; the next append first cuts the file back to its last
+// intact record, so no record ever lands behind a partial one.
+func (l *coordLog) append(rec coordRecord, sync bool) error {
 	body, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	if _, err := l.f.Write(sweepd.EncodeRecord(body)); err != nil {
-		return err
+	if l.Stopped() {
+		if err := l.Repair(); err != nil {
+			return err
+		}
 	}
-	return l.f.Sync()
-}
-
-// appendNoSync journals one record without forcing it to disk — for
-// best-effort events (requeues) whose loss replay tolerates.
-func (l *coordLog) appendNoSync(rec coordRecord) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	_, err = l.f.Write(sweepd.EncodeRecord(body))
-	return err
-}
-
-func (l *coordLog) Close() error {
-	if l == nil || l.f == nil {
-		return nil
-	}
-	return l.f.Close()
+	return l.Append(body, sync)
 }

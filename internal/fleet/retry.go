@@ -7,10 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"time"
 
-	"doda/internal/rng"
+	"doda/internal/retry"
 )
 
 // maxResponseBytes bounds how much of a (possibly hostile or confused)
@@ -19,46 +18,8 @@ const maxResponseBytes = 8 << 20
 
 // RetryPolicy bounds and paces re-attempts of one protocol call after a
 // transient failure (connection reset, timeout, 5xx, garbled response
-// body). The zero value means the defaults: 8 attempts, 100ms initial
-// backoff doubling to a 5s cap, each delay jittered deterministically
-// into [d/2, d) so a fleet of workers never retries in lockstep.
-type RetryPolicy struct {
-	// Attempts is the total tries per call (default 8).
-	Attempts int
-	// Base is the backoff before the second attempt (default 100ms);
-	// it doubles per attempt.
-	Base time.Duration
-	// Max caps the backoff (default 5s).
-	Max time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 8
-	}
-	if p.Base <= 0 {
-		p.Base = 100 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 5 * time.Second
-	}
-	return p
-}
-
-// backoff returns the jittered delay before retry k (k ≥ 1 failures so
-// far) of call number call: d = min(Max, Base·2^(k-1)), scaled into
-// [d/2, d) by a uniform draw that is a pure function of (seed, call, k)
-// — deterministic per worker, decorrelated across workers.
-func (p RetryPolicy) backoff(seed, call uint64, k int) time.Duration {
-	d := p.Max
-	if k-1 < 32 {
-		if exp := p.Base << (k - 1); exp > 0 && exp < p.Max {
-			d = exp
-		}
-	}
-	u := rng.New(seed ^ (call << 20) ^ uint64(k)).Float64()
-	return d/2 + time.Duration(u*float64(d/2))
-}
+// body); the zero value means retry.Policy's defaults.
+type RetryPolicy = retry.Policy
 
 // transient reports whether one call outcome is worth retrying:
 // transport errors (resets, timeouts) and garbled response bodies
@@ -78,31 +39,16 @@ func transient(code int, err error) bool {
 // cancellation) return immediately. The returned error wraps the last
 // transient failure so callers can report why the budget died.
 func postJSONRetry(ctx context.Context, client *http.Client, url string, body, dst any, p RetryPolicy, seed, call uint64) (int, error) {
-	p = p.withDefaults()
-	var (
-		code int
-		err  error
-	)
-	for k := 0; k < p.Attempts; k++ {
-		if k > 0 {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(p.backoff(seed, call, k)):
-			}
-		}
+	var code int
+	err := p.Do(ctx, "fleet: "+url, seed, call, func() error {
+		var err error
 		code, err = postJSON(ctx, client, url, body, dst)
-		if !transient(code, err) {
-			return code, err
+		if err == nil && transient(code, nil) {
+			err = fmt.Errorf("HTTP %d", code)
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, cerr
-		}
-	}
-	if err == nil {
-		err = fmt.Errorf("HTTP %d", code)
-	}
-	return code, fmt.Errorf("fleet: %s: retry budget exhausted after %d attempts: %w", url, p.Attempts, err)
+		return err
+	}, func(error) (bool, time.Duration) { return true, 0 }) // try fails only transiently
+	return code, err
 }
 
 // postJSON posts a JSON body and decodes the JSON response, returning
@@ -141,10 +87,8 @@ func decodeBody(resp *http.Response, url string, dst any) error {
 	if len(bytes.TrimSpace(data)) == 0 {
 		return nil // an empty body reads as the zero value
 	}
-	fresh := reflect.New(reflect.TypeOf(dst).Elem())
-	if err := json.Unmarshal(data, fresh.Interface()); err != nil {
+	if err := retry.DecodeJSON(data, dst); err != nil {
 		return fmt.Errorf("fleet: decoding response from %s: %w", url, err)
 	}
-	reflect.ValueOf(dst).Elem().Set(fresh.Elem())
 	return nil
 }

@@ -95,7 +95,7 @@ func Work(ctx context.Context, baseURL string, opt WorkerOptions) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	wc := &wclient{hc: client, base: baseURL, pol: opt.Retry.withDefaults(), seed: opt.RetrySeed, logf: logf}
+	wc := &wclient{hc: client, base: baseURL, pol: opt.Retry.WithDefaults(), seed: opt.RetrySeed, logf: logf}
 
 	contacted := false
 	for {

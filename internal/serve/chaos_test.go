@@ -322,7 +322,7 @@ func TestWALTornTailDropsOnlyUnacked(t *testing.T) {
 	s.Close()
 
 	// Tear the last 10 bytes off the journal — a power cut mid-append.
-	walPath := filepath.Join(dir, "w", genName(0))
+	walPath := filepath.Join(dir, "w", generations.Name(0))
 	raw, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestWALTornTailDropsOnlyUnacked(t *testing.T) {
 		t.Fatalf("retried state diverged:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
 	// The torn file was repaired: it now parses clean.
-	if _, repaired, err := parseGen(chaos.Disk, filepath.Join(dir, "w"), genName(0)); err != nil || repaired {
+	if _, repaired, err := parseGen(chaos.Disk, filepath.Join(dir, "w"), 0); err != nil || repaired {
 		t.Fatalf("parseGen after repair: repaired=%v err=%v", repaired, err)
 	}
 }
@@ -400,19 +400,18 @@ func TestWALGenerationFallback(t *testing.T) {
 	// Reconstruct a mid-rotation crash: the previous generation is still
 	// present, the new one tore before its state record became durable.
 	idir := filepath.Join(dir, "w")
-	names, err := genNames(idir)
+	names, err := generations.List(nil, idir)
 	if err != nil || len(names) != 1 {
 		t.Fatalf("gens = %v, err = %v", names, err)
 	}
-	cur := names[0]
-	curN, _ := genNumber(cur)
-	raw, err := os.ReadFile(filepath.Join(idir, cur))
+	curN := names[0]
+	raw, err := os.ReadFile(filepath.Join(idir, generations.Name(curN)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The torn successor: only half the header line made it.
 	nl := bytes.IndexByte(raw, '\n')
-	if err := os.WriteFile(filepath.Join(idir, genName(curN+1)), raw[:nl/2], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(idir, generations.Name(curN+1)), raw[:nl/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -429,9 +428,60 @@ func TestWALGenerationFallback(t *testing.T) {
 		t.Fatalf("fallback state t = %d, want 8", st.T)
 	}
 	// The damaged generation was swept.
-	names, err = genNames(idir)
+	names, err = generations.List(nil, idir)
 	if err != nil || len(names) != 1 {
 		t.Fatalf("gens after fallback = %v, err = %v", names, err)
+	}
+}
+
+// TestWALCorruptGenerationFailsLoudly flips one bit in the header record
+// of an instance's only generation. That is corruption, not a publish cut
+// short, so a restart must fail naming the instance and leave its
+// directory in place: sweeping it would delete an acknowledged instance.
+func TestWALCorruptGenerationFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// SnapshotEvery=4 rotates after each batch: two acked batches leave
+	// generation 2 as the only file.
+	s, err := NewServer(Options{Dir: dir, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.Register(InstanceConfig{Name: "w", N: 8, Algorithm: "waiting"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		h, err := inst.Ingest(ctx, offSinkBatch(8, 4, uint64(i)), uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	path := filepath.Join(dir, "w", generations.Name(2))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[20] ^= 1 // inside the header record's JSON body
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewServer(Options{Dir: dir, SnapshotEvery: 4})
+	if err == nil {
+		s2.Close()
+		t.Fatal("restart over a corrupt generation succeeded")
+	}
+	if !strings.Contains(err.Error(), "recover w:") {
+		t.Fatalf("restart error %q does not name instance w", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("corrupt generation was not left in place: %v", err)
 	}
 }
 

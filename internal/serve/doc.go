@@ -8,24 +8,29 @@
 //
 // # Durability contract
 //
-// Every instance owns a write-ahead log of crc-guarded record lines (the
-// same framing the sweepd checkpoint journal uses) in its own directory:
-// a header record naming the instance configuration, a state record
-// holding a core.EngineState snapshot, then one record per accepted
-// ingest batch. The acknowledgement order is strict:
+// Every instance owns a write-ahead log of internal/recordlog records
+// (the frame and torn-record rule every doda journal shares) in its own
+// directory: a header record naming the instance configuration, a state
+// record holding a core.EngineState snapshot, then one record per
+// accepted ingest batch. The acknowledgement order is strict:
 //
 //	admission (queue slot reserved) → WAL append + fsync → enqueue → ack
 //
 // so an acknowledged batch is durable before the caller learns about it,
 // and a batch that was refused admission is never journaled. Periodically
-// the worker rotates the log: a new generation file is written atomically
-// (tmp + fsync + rename + directory fsync, sweepd-style) holding the
-// current engine snapshot plus all journaled-but-unapplied batches, and
-// only after the new generation is durable are older generations deleted.
-// Recovery therefore always finds a complete generation: the newest one
-// that parses wins, a torn tail (the unsynced last append of a crash) is
-// dropped and repaired, and a generation damaged mid-rotation falls back
-// to its still-present predecessor. Replaying the snapshot plus the
+// the worker rotates the log: a new generation file is published
+// atomically (recordlog.Publish: tmp + fsync + rename + directory fsync)
+// holding the current engine snapshot plus all journaled-but-unapplied
+// batches, and only after the new generation is durable are older
+// generations deleted. Recovery therefore always finds a complete
+// generation: the newest one that parses wins, a torn tail (the unsynced
+// last append of a crash) is dropped and repaired, and a generation cut
+// short before its header and state falls back to its still-present
+// predecessor. Damage anywhere else, or an intact record recovery
+// rejects, stops recovery with an error naming the instance and leaves
+// its directory alone: only a directory holding no generation, or only
+// generation 0 cut short, is a never-acknowledged registration and is
+// swept. Replaying the snapshot plus the
 // ingest tail reproduces the engine state byte-for-byte — Feed is
 // deterministic — which the chaos tests assert by diffing EngineState
 // JSON against an uninterrupted run.

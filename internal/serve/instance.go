@@ -315,7 +315,7 @@ func (inst *Instance) admitLocked(seqNo uint64, ops int) (*Handle, bool, error) 
 			return nil, false, fmt.Errorf("%w: got %d, journal is at %d", ErrSequenceGap, seqNo, inst.lastSeq)
 		}
 	}
-	if inst.log != nil && inst.log.broken {
+	if inst.log != nil && inst.log.broken() {
 		return nil, false, ErrWAL
 	}
 	if inst.pendingOps+ops > inst.srv.opt.MaxPending {
@@ -469,10 +469,10 @@ func (inst *Instance) worker() {
 	for {
 		inst.mu.Lock()
 		for len(inst.queue) == 0 && !inst.closing &&
-			!(inst.log != nil && inst.log.broken) {
+			!(inst.log != nil && inst.log.broken()) {
 			inst.cond.Wait()
 		}
-		if inst.log != nil && inst.log.broken {
+		if inst.log != nil && inst.log.broken() {
 			if err := inst.rotateLocked(); err != nil {
 				reason := fmt.Sprintf("write-ahead log unrecoverable: %v", err)
 				inst.mu.Unlock()
@@ -716,7 +716,7 @@ func (inst *Instance) evict(ctx context.Context) error {
 	// rotation failure degrades to replay cost, never to data loss. The
 	// skip also makes evicting a freshly-registered or just-rotated
 	// instance write-free.
-	if inst.appliedOps > 0 && !inst.log.broken {
+	if inst.appliedOps > 0 && !inst.log.broken() {
 		if err := inst.rotateLocked(); err != nil {
 			inst.srv.logf("serve: evict %s: final snapshot: %v (tail remains durable)", inst.cfg.Name, err)
 		}

@@ -144,9 +144,8 @@ func (s *Server) recoverAll() error {
 		hydrate := s.opt.MaxLiveInstances <= 0 || live < s.opt.MaxLiveInstances
 		inst, err := s.recoverInstance(name, hydrate)
 		if errors.Is(err, errNoWAL) {
-			// A torn genesis: the registration was never acknowledged
-			// (Create only acks after the first generation is durable), so
-			// the directory holds no instance — sweep it and move on.
+			// The registration was never acknowledged, so the directory
+			// holds no instance — sweep it and move on.
 			s.logf("serve: sweeping %s: %v", name, err)
 			if rerr := os.RemoveAll(filepath.Join(s.opt.Dir, name)); rerr != nil {
 				return rerr

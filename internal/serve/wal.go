@@ -1,29 +1,26 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"doda/internal/chaos"
 	"doda/internal/core"
-	"doda/internal/sweepd"
+	"doda/internal/recordlog"
 )
 
 // walVersion is the instance log schema version; readers reject others.
 const walVersion = 1
 
-const (
-	walPrefix  = "wal-"
-	walSuffix  = ".jsonl"
-	walTmpSfx  = ".tmp"
-	walDirPerm = 0o755
-)
+const walDirPerm = 0o755
+
+// generations names an instance directory's log files,
+// wal-00000000.jsonl upward; the newest one is the live log.
+var generations = recordlog.Series{Prefix: "wal-", Suffix: ".jsonl"}
 
 // ErrWAL reports a wedged write-ahead log: an append failed mid-record,
 // so further appends would bury valid records behind garbage. The
@@ -56,109 +53,46 @@ type wal struct {
 	fs  chaos.FS
 	dir string
 
-	gen    int        // current generation number
-	f      chaos.File // open for append on the current generation
-	broken bool       // an append failed mid-record; see ErrWAL
+	gen int                 // current generation number
+	log *recordlog.Appender // appends to the current generation
 }
 
-func genName(n int) string {
-	return fmt.Sprintf("%s%08d%s", walPrefix, n, walSuffix)
-}
+// broken reports a wedged log; see ErrWAL.
+func (w *wal) broken() bool { return w.log.Stopped() }
 
-func genNumber(name string) (int, bool) {
-	if !strings.HasPrefix(name, walPrefix) || !strings.HasSuffix(name, walSuffix) {
-		return 0, false
-	}
-	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, walPrefix), walSuffix))
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// genNames lists the generation files in dir, ascending, sweeping
-// leftover tmp files from a crashed rotation.
-func genNames(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if strings.HasSuffix(name, walTmpSfx) {
-			if _, ok := genNumber(strings.TrimSuffix(name, walTmpSfx)); ok {
-				os.Remove(filepath.Join(dir, name))
-			}
-			continue
-		}
-		if _, ok := genNumber(name); ok {
-			names = append(names, name)
-		}
-	}
-	sort.Slice(names, func(i, k int) bool {
-		a, _ := genNumber(names[i])
-		b, _ := genNumber(names[k])
-		return a < b
-	})
-	return names, nil
-}
-
-// encodeRecords frames a generation's records: header, state, ingests.
-func encodeRecords(hdr walHeader, st walState, pending []walIngest) ([][]byte, error) {
+// encodeGen frames a generation's records: header, state, ingests.
+func encodeGen(cfg InstanceConfig, st walState, pending []walIngest) ([]byte, error) {
 	recs := make([]any, 0, len(pending)+2)
-	recs = append(recs, hdr, st)
+	recs = append(recs, walHeader{Version: walVersion, Config: cfg}, st)
 	for _, in := range pending {
 		recs = append(recs, in)
 	}
-	lines := make([][]byte, 0, len(recs))
+	var data []byte
 	for _, rec := range recs {
 		b, err := json.Marshal(rec)
 		if err != nil {
 			return nil, err
 		}
-		lines = append(lines, sweepd.EncodeRecord(b))
+		data = recordlog.AppendFrame(data, b)
 	}
-	return lines, nil
+	return data, nil
 }
 
-// writeGen atomically publishes one generation file: tmp + fsync +
-// rename + directory fsync, so a crash at any instant leaves either the
-// old world or the complete new one.
-func writeGen(fsys chaos.FS, dir string, gen int, lines [][]byte) error {
-	name := genName(gen)
-	tmp := filepath.Join(dir, name+walTmpSfx)
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
+// publish atomically writes generation gen and switches appends to it,
+// so a crash at any instant leaves either the old world or the complete
+// new one. A fresh generation also clears a wedged log: the old tail's
+// damage is left behind.
+func (w *wal) publish(gen int, data []byte) error {
+	name := generations.Name(gen)
+	if err := recordlog.Publish(w.fs, w.dir, name, data); err != nil {
 		return err
 	}
-	for _, line := range lines {
-		if _, err := f.Write(line); err != nil {
-			f.Close()
-			fsys.Remove(tmp)
-			return err
-		}
+	log, err := recordlog.Open(w.fs, filepath.Join(w.dir, name), int64(len(data)))
+	if w.log != nil {
+		w.log.Close()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(dir)
+	w.gen, w.log = gen, log
+	return err
 }
 
 // createWAL starts generation 0 for a freshly registered instance and
@@ -167,35 +101,22 @@ func createWAL(fsys chaos.FS, dir string, cfg InstanceConfig, st core.EngineStat
 	if err := os.MkdirAll(dir, walDirPerm); err != nil {
 		return nil, err
 	}
-	names, err := genNames(dir)
+	gens, err := generations.List(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(names) > 0 {
+	if len(gens) > 0 {
 		return nil, fmt.Errorf("serve: %s already holds a write-ahead log", dir)
 	}
-	w := &wal{fs: fsys, dir: dir, gen: 0}
-	lines, err := encodeRecords(walHeader{Version: walVersion, Config: cfg}, walState{State: st}, nil)
+	data, err := encodeGen(cfg, walState{State: st}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := writeGen(fsys, dir, 0, lines); err != nil {
-		return nil, err
-	}
-	if err := w.openAppend(); err != nil {
+	w := &wal{fs: fsys, dir: dir}
+	if err := w.publish(0, data); err != nil {
 		return nil, err
 	}
 	return w, nil
-}
-
-// openAppend opens the current generation for appends.
-func (w *wal) openAppend() error {
-	f, err := w.fs.OpenFile(filepath.Join(w.dir, genName(w.gen)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	w.f = f
-	return nil
 }
 
 // append journals one batch and makes it durable. On failure the log is
@@ -203,19 +124,11 @@ func (w *wal) openAppend() error {
 // left a partial record at the tail, and appending after it would turn
 // an unacknowledged torn tail into unrecoverable mid-log corruption.
 func (w *wal) append(rec walIngest) error {
-	if w.broken {
-		return ErrWAL
-	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	if _, err := w.f.Write(sweepd.EncodeRecord(b)); err != nil {
-		w.broken = true
-		return fmt.Errorf("%w: %w", ErrWAL, err)
-	}
-	if err := w.f.Sync(); err != nil {
-		w.broken = true
+	if err := w.log.Append(b, true); err != nil {
 		return fmt.Errorf("%w: %w", ErrWAL, err)
 	}
 	return nil
@@ -223,64 +136,47 @@ func (w *wal) append(rec walIngest) error {
 
 // rotate publishes a fresh generation holding the current snapshot plus
 // the journaled-but-unapplied batches, switches appends to it, and
-// deletes older generations. It also clears a wedged log: the new
-// generation is written whole, so the old tail's damage is left behind.
+// deletes older generations.
 func (w *wal) rotate(cfg InstanceConfig, st walState, pending []walIngest) error {
-	lines, err := encodeRecords(walHeader{Version: walVersion, Config: cfg}, st, pending)
+	data, err := encodeGen(cfg, st, pending)
 	if err != nil {
 		return err
 	}
-	next := w.gen + 1
-	if err := writeGen(w.fs, w.dir, next, lines); err != nil {
-		return err
-	}
-	if w.f != nil {
-		w.f.Close()
-	}
 	old := w.gen
-	w.gen = next
-	w.broken = false
-	if err := w.openAppend(); err != nil {
+	if err := w.publish(old+1, data); err != nil {
 		return err
 	}
 	// The new generation is durable; older ones are now garbage. Removal
 	// failures are harmless (recovery prefers the newest valid gen) but
 	// surface through SyncDir if the directory itself is sick.
-	names, err := genNames(w.dir)
+	gens, err := generations.List(w.fs, w.dir)
 	if err != nil {
 		return err
 	}
-	for _, name := range names {
-		if n, ok := genNumber(name); ok && n <= old {
-			w.fs.Remove(filepath.Join(w.dir, name))
+	for _, n := range gens {
+		if n <= old {
+			w.fs.Remove(filepath.Join(w.dir, generations.Name(n)))
 		}
 	}
 	return w.fs.SyncDir(w.dir)
 }
 
-func (w *wal) close() error {
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
-	return err
-}
+func (w *wal) close() error { return w.log.Close() }
 
-// errNoWAL reports an instance directory with no readable generation:
-// either nothing was ever published, or the only generation tore before
-// its header+state prefix became durable. Both mean the registration was
-// never acknowledged — the directory holds no instance.
+// errNoWAL reports an instance directory that holds no instance: either
+// no generation file, or only generation 0 and it ends before its
+// header and state records. Both mean the registration was never
+// acknowledged (Register acks only once generation 0 is durable), so the
+// directory may be swept. Nothing else earns that: a generation numbered
+// 1 or higher proves an acknowledged registration.
 var errNoWAL = errors.New("serve: no readable write-ahead log")
 
-// errGenDamaged classifies a generation whose *content* is unusable (torn
-// before the header+state prefix, or undecodable records). Recovery may
-// fall back past such a generation. I/O errors while reading or repairing
-// are deliberately NOT this class: the bytes on disk may be fine, so
-// falling back — or worse, concluding errNoWAL and sweeping the
-// directory — would discard acknowledged data. Those abort recovery
-// instead, and the caller retries.
-var errGenDamaged = errors.New("serve: generation damaged")
+// errEndsEarly classifies a generation that ends, cleanly or torn,
+// before its header and state records: a publish cut short. Recovery
+// falls back past it. Corruption, a rejected record and I/O failures are
+// not this class — the bytes on disk may hold acknowledged batches, so
+// they abort recovery instead.
+var errEndsEarly = errors.New("serve: generation ends before its header and state")
 
 // recovered is the parsed durable state of one instance directory.
 type recovered struct {
@@ -289,124 +185,84 @@ type recovered struct {
 	applied uint64
 	tail    []walIngest
 	gen     int
+	size    int64 // length of the generation file's intact records
 }
 
 // recoverWAL reads an instance directory back: the newest generation
-// with a valid header + state prefix wins; a torn tail is dropped and
-// the file repaired; generations newer than the winner (torn mid-
-// rotation) and older than it (superseded) are deleted. Returns the
-// recovered state and an open log ready for appends.
+// with its header and state wins; a torn tail is dropped and the file
+// repaired; generations newer than the winner (cut short mid-rotation)
+// and older than it (superseded) are deleted. Returns the recovered
+// state and an open log ready for appends.
 func recoverWAL(fsys chaos.FS, dir string) (*wal, *recovered, error) {
-	names, err := genNames(dir)
+	gens, err := generations.List(fsys, dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("%w: %s", errNoWAL, dir)
+	if len(gens) == 0 {
+		return nil, nil, fmt.Errorf("%w: %s holds no generation", errNoWAL, dir)
 	}
-	for i := len(names) - 1; i >= 0; i-- {
-		rec, _, err := parseGen(fsys, dir, names[i])
-		if errors.Is(err, errGenDamaged) {
-			// Damaged mid-rotation: fall back to the predecessor, which
+	for i := len(gens) - 1; i >= 0; i-- {
+		rec, _, err := parseGen(fsys, dir, gens[i])
+		if errors.Is(err, errEndsEarly) {
+			if len(gens) == 1 && gens[0] == 0 {
+				return nil, nil, fmt.Errorf("%w: %w", errNoWAL, err)
+			}
+			// Cut short mid-rotation: fall back to the predecessor, which
 			// rotation deletes only after its successor is durable.
 			continue
 		}
 		if err != nil {
-			// An I/O failure, not damage — the generation may be perfectly
-			// good. Abort recovery rather than silently falling past it.
 			return nil, nil, err
 		}
 		// This generation wins; every other generation file is garbage.
-		for k, name := range names {
+		for k, n := range gens {
 			if k != i {
-				fsys.Remove(filepath.Join(dir, name))
+				fsys.Remove(filepath.Join(dir, generations.Name(n)))
 			}
 		}
 		if err := fsys.SyncDir(dir); err != nil {
 			return nil, nil, err
 		}
-		w := &wal{fs: fsys, dir: dir, gen: rec.gen}
-		if err := w.openAppend(); err != nil {
+		log, err := recordlog.Open(fsys, filepath.Join(dir, generations.Name(rec.gen)), rec.size)
+		if err != nil {
 			return nil, nil, err
 		}
-		return w, rec, nil
+		return &wal{fs: fsys, dir: dir, gen: rec.gen, log: log}, rec, nil
 	}
-	return nil, nil, fmt.Errorf("%w: %s: every generation is damaged", errNoWAL, dir)
+	return nil, nil, fmt.Errorf("serve: %s: every generation ends before its header and state", dir)
 }
 
-// parseGen reads one generation file. A decode failure on a trailing
-// record is a torn tail: the valid prefix is kept and the file rewritten
-// without it (repaired=true). A generation without a valid header and
-// state record does not parse — that failure is errGenDamaged, letting
-// recovery fall back; I/O failures (read, repair write) are returned
-// unwrapped so recovery aborts and retries instead of discarding data.
-func parseGen(fsys chaos.FS, dir, name string) (*recovered, bool, error) {
+// parseGen reads generation gen. A torn tail is dropped and the file
+// republished without it (repaired=true), so future appends land after
+// intact bytes. A generation without its header and state records is
+// errEndsEarly; corruption, a rejected record and I/O failures return as
+// they are.
+func parseGen(fsys chaos.FS, dir string, gen int) (*recovered, bool, error) {
+	name := generations.Name(gen)
 	raw, err := fsys.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return nil, false, err
 	}
-	gen, _ := genNumber(name)
-	lines, torn := sweepd.SplitRecords(raw)
 	rec := &recovered{gen: gen}
-	var valid [][]byte
-	for li, line := range lines {
-		body, err := sweepd.DecodeRecord(line)
-		if err != nil {
-			// A crc failure is how a torn append looks; everything after
-			// it belongs to the same unsynced write and is dropped too.
-			torn = true
-			break
-		}
-		if err := rec.readRecord(li, body); err != nil {
-			return nil, false, fmt.Errorf("%w: %s: %w", errGenDamaged, name, err)
-		}
-		keep := make([]byte, 0, len(line)+1)
-		keep = append(append(keep, line...), '\n')
-		valid = append(valid, keep)
-	}
-	if len(valid) < 2 {
-		return nil, false, fmt.Errorf("%w: %s: generation lacks header+state", errGenDamaged, name)
-	}
-	repaired := false
-	if torn {
-		// Rewrite the file without the torn tail so future appends land
-		// after valid bytes.
-		if err := rewriteGen(fsys, dir, name, valid); err != nil {
-			return nil, false, err
-		}
-		repaired = true
-	}
-	return rec, repaired, nil
-}
-
-// rewriteGen atomically replaces name with the given record lines.
-func rewriteGen(fsys chaos.FS, dir, name string, lines [][]byte) error {
-	tmp := filepath.Join(dir, name+walTmpSfx)
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	n := 0
+	good, torn, err := recordlog.Replay(bytes.NewReader(raw), 0, func(li int, body []byte) error {
+		n++
+		return rec.readRecord(li, body)
+	})
 	if err != nil {
-		return err
+		return nil, false, fmt.Errorf("%s: %w", name, err)
 	}
-	for _, line := range lines {
-		if _, err := f.Write(line); err != nil {
-			f.Close()
-			fsys.Remove(tmp)
-			return err
-		}
+	if n < 2 {
+		return nil, false, fmt.Errorf("%w: %s", errEndsEarly, name)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	rec.size = good
+	if !torn {
+		return rec, false, nil
 	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
+	if err := recordlog.Publish(fsys, dir, name, raw[:good]); err != nil {
+		return nil, false, err
 	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(dir)
+	return rec, true, nil
 }
 
 // readRecord parses one record line by position and shape.

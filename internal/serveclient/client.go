@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"doda/internal/core"
-	"doda/internal/rng"
+	"doda/internal/retry"
 	"doda/internal/serve"
 )
 
@@ -32,45 +32,9 @@ const maxErrorBytes = 512
 const maxRetryAfter = time.Minute
 
 // RetryPolicy bounds and paces re-attempts of one call after a
-// transient failure, mirroring the fleet worker's policy: the zero
-// value means 8 attempts, 100ms initial backoff doubling to a 5s cap,
-// each delay jittered deterministically into [d/2, d).
-type RetryPolicy struct {
-	// Attempts is the total tries per call (default 8).
-	Attempts int
-	// Base is the backoff before the second attempt (default 100ms);
-	// it doubles per attempt.
-	Base time.Duration
-	// Max caps the backoff (default 5s).
-	Max time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 8
-	}
-	if p.Base <= 0 {
-		p.Base = 100 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 5 * time.Second
-	}
-	return p
-}
-
-// backoff returns the jittered delay before retry k (k ≥ 1 failures so
-// far) of call number call: d = min(Max, Base·2^(k-1)), scaled into
-// [d/2, d) by a uniform draw that is a pure function of (seed, call, k).
-func (p RetryPolicy) backoff(seed, call uint64, k int) time.Duration {
-	d := p.Max
-	if k-1 < 32 {
-		if exp := p.Base << (k - 1); exp > 0 && exp < p.Max {
-			d = exp
-		}
-	}
-	u := rng.New(seed ^ (call << 20) ^ uint64(k)).Float64()
-	return d/2 + time.Duration(u*float64(d/2))
-}
+// transient failure, the same policy the fleet worker uses; the zero
+// value means retry.Policy's defaults.
+type RetryPolicy = retry.Policy
 
 // APIError is a deliberate non-2xx answer from the server.
 type APIError struct {
@@ -116,72 +80,31 @@ func New(baseURL string, opt Options) *Client {
 	return &Client{
 		base: strings.TrimRight(baseURL, "/"),
 		hc:   hc,
-		rp:   opt.Retry.withDefaults(),
+		rp:   opt.Retry,
 		seed: opt.Seed,
 	}
 }
 
-// transient reports whether one call outcome is worth retrying:
-// transport errors and garbled bodies surface as err != nil, 5xx is a
-// server that may heal, and 429 is flow control — all transient under
-// the bounded budget. Every other status is a deliberate answer.
-func transient(err error) bool {
-	if err == nil {
-		return false
-	}
+// transient reports whether a failed call is worth retrying, and the
+// least delay the server asked for: transport errors and garbled bodies
+// are transient, 5xx is a server that may heal, and 429 is flow control
+// — all transient under the bounded budget, honouring Retry-After. Every
+// other status is a deliberate answer.
+func transient(err error) (bool, time.Duration) {
 	var ae *APIError
-	if apiErrorAs(err, &ae) {
-		return ae.Status >= 500 || ae.Status == http.StatusTooManyRequests
+	if errors.As(err, &ae) {
+		return ae.Status >= 500 || ae.Status == http.StatusTooManyRequests, ae.RetryAfter
 	}
-	return true
-}
-
-// apiErrorAs is errors.As for *APIError without importing errors twice.
-func apiErrorAs(err error, target **APIError) bool {
-	for err != nil {
-		if ae, ok := err.(*APIError); ok {
-			*target = ae
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	return true, 0
 }
 
 // do issues one API call under the retry policy. body (may be nil) is
 // re-sent verbatim on every attempt; the caller guarantees the request
 // is idempotent (seq-stamped ingests, registrations by name, reads).
 func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, dst any) error {
-	call := c.calls.Add(1)
-	var lastErr error
-	for k := 0; k < c.rp.Attempts; k++ {
-		if k > 0 {
-			delay := c.rp.backoff(c.seed, call, k)
-			// 429 is flow control: wait at least what the server asked.
-			var ae *APIError
-			if apiErrorAs(lastErr, &ae) && ae.RetryAfter > delay {
-				delay = ae.RetryAfter
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(delay):
-			}
-		}
-		lastErr = c.doOnce(ctx, method, path, contentType, body, dst)
-		if !transient(lastErr) {
-			return lastErr
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-	}
-	return fmt.Errorf("serveclient: %s %s: retry budget exhausted after %d attempts: %w",
-		method, path, c.rp.Attempts, lastErr)
+	return c.rp.Do(ctx, "serveclient: "+method+" "+path, c.seed, c.calls.Add(1), func() error {
+		return c.doOnce(ctx, method, path, contentType, body, dst)
+	}, transient)
 }
 
 func (c *Client) doOnce(ctx context.Context, method, path, contentType string, body []byte, dst any) error {
@@ -217,11 +140,9 @@ func decodeResponse(status int, retryAfterHeader string, body []byte, dst any) e
 		if dst == nil || len(bytes.TrimSpace(body)) == 0 {
 			return nil
 		}
-		fresh := reflect.New(reflect.TypeOf(dst).Elem())
-		if err := json.Unmarshal(body, fresh.Interface()); err != nil {
+		if err := retry.DecodeJSON(body, dst); err != nil {
 			return fmt.Errorf("serveclient: decoding response: %w", err)
 		}
-		reflect.ValueOf(dst).Elem().Set(fresh.Elem())
 		return nil
 	}
 	ae := &APIError{Status: status}
@@ -268,7 +189,7 @@ func (c *Client) Register(ctx context.Context, cfg serve.InstanceConfig) (serve.
 	var st serve.InstanceStatus
 	err = c.do(ctx, http.MethodPost, "/v1/instances", "application/json", body, &st)
 	var ae *APIError
-	if apiErrorAs(err, &ae) && strings.Contains(ae.Message, "already exists") {
+	if errors.As(err, &ae) && strings.Contains(ae.Message, "already exists") {
 		return c.InstanceStatus(ctx, cfg.Name)
 	}
 	return st, err

@@ -249,14 +249,14 @@ func TestStreamResume(t *testing.T) {
 	}
 }
 
-// TestBackoffDeterministic: the jitter is a pure function of (seed,
-// call, attempt) and stays within [d/2, d).
+// TestBackoffDeterministic: the client's RetryPolicy jitter is a pure
+// function of (seed, call, attempt) and stays within [d/2, d).
 func TestBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
+	p := RetryPolicy{}.WithDefaults()
 	for call := uint64(1); call <= 3; call++ {
 		for k := 1; k <= 6; k++ {
-			d1 := p.backoff(7, call, k)
-			d2 := p.backoff(7, call, k)
+			d1 := p.Backoff(7, call, k)
+			d2 := p.Backoff(7, call, k)
 			if d1 != d2 {
 				t.Fatalf("backoff(7,%d,%d) not deterministic: %v vs %v", call, k, d1, d2)
 			}
@@ -269,7 +269,7 @@ func TestBackoffDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if p.backoff(7, 1, 1) == p.backoff(8, 1, 1) {
+	if p.Backoff(7, 1, 1) == p.Backoff(8, 1, 1) {
 		t.Fatal("different seeds should decorrelate jitter")
 	}
 }

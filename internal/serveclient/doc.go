@@ -19,15 +19,15 @@
 //
 // # Retry policy
 //
-// RetryPolicy mirrors the fleet worker's shape: bounded attempts,
-// exponential backoff from Base doubling to Max, each delay jittered
-// deterministically into [d/2, d) as a pure function of (seed, call,
-// attempt) so client fleets never retry in lockstep. Transient outcomes
-// — transport errors, 5xx, garbled 2xx bodies — consume attempts; 429
-// responses also consume attempts but wait at least the server's
-// Retry-After hint first, because they are flow control, not failure.
-// Any other status is a deliberate answer and returned immediately as
-// an *APIError.
+// RetryPolicy is the fleet worker's policy (internal/retry): bounded
+// attempts, exponential backoff from Base doubling to Max, each delay
+// jittered deterministically into [d/2, d) as a pure function of (seed,
+// call, attempt) so client fleets never retry in lockstep. Transient
+// outcomes — transport errors, 5xx, garbled 2xx bodies — consume
+// attempts; 429 responses also consume attempts but wait at least the
+// server's Retry-After hint first, because they are flow control, not
+// failure. Any other status is a deliberate answer and returned
+// immediately as an *APIError.
 //
 // # Response hardening
 //

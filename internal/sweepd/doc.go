@@ -7,25 +7,27 @@
 //
 // A checkpoint is a directory of immutable JSONL segments named
 // seg-00000000.jsonl, seg-00000001.jsonl, … (zero-padded so
-// lexicographic order is numeric order). Every line is one crc-framed
-// record: 8 lowercase hex digits of the CRC-32C (Castagnoli) of the
-// JSON body, one space, the body, '\n'. The first record of every
-// segment is the Header — schema version, grid fingerprint, shard
-// index/count, and the grid itself — and every further record is one
-// CellRecord: the cell's result exactly as the streaming JSONL output
-// encodes it, plus the raw Welford duration accumulator the rounded
-// metric cannot reconstruct (what makes resumed and merged fleet totals
-// fold bit-for-bit).
+// lexicographic order is numeric order). Every line is one
+// internal/recordlog record: 8 lowercase hex digits of the CRC-32C
+// (Castagnoli) of the JSON body, one space, the body, '\n'. The first
+// record of every segment is the Header — schema version, grid
+// fingerprint, shard index/count, and the grid itself — and every
+// further record is one CellRecord: the cell's result exactly as the
+// streaming JSONL output encodes it, plus the raw Welford duration
+// accumulator the rounded metric cannot reconstruct (what makes resumed
+// and merged fleet totals fold bit-for-bit).
 //
-// Segments are published atomically: written to a .tmp file, fsynced,
-// renamed to the final name, directory fsynced. A crash can therefore
-// never leave a half-written segment under a final name; the worst
-// case is a torn tail on the final segment (power cut on a non-atomic
-// filesystem), which Open drops and durably repairs, costing at most
-// the cells of that segment. Corruption anywhere else — a bad crc
-// mid-stream, a header mismatch between segments, a duplicate cell —
-// is fatal (ErrCorrupt): repairing it away would silently destroy
-// journaled results.
+// Segments are published atomically (recordlog.Publish): written to a
+// .tmp file, fsynced, renamed to the final name, directory fsynced. A
+// crash can therefore never leave a half-written segment under a final
+// name; the worst case is a torn tail on the final segment (power cut on
+// a non-atomic filesystem), which Open drops and durably repairs,
+// costing at most the cells of that segment. recordlog's torn-record
+// rule decides what counts as torn: damage with no byte after it in the
+// final segment. Corruption anywhere else — a bad crc mid-stream, a
+// header mismatch between segments, a duplicate cell — is fatal
+// (ErrCorrupt): repairing it away would silently destroy journaled
+// results.
 //
 // # Identity and staleness
 //

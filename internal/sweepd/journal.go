@@ -5,14 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"doda/internal/chaos"
+	"doda/internal/recordlog"
 	"doda/internal/stats"
 	"doda/internal/sweep"
 )
@@ -48,14 +45,9 @@ var (
 // versions rather than guessing at their layout.
 const recordVersion = 1
 
-const (
-	segPrefix = "seg-"
-	segSuffix = ".jsonl"
-	tmpSuffix = ".tmp"
-)
-
-// castagnoli is the CRC-32C polynomial table guarding every record line.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// segments names a checkpoint's immutable segment files,
+// seg-00000000.jsonl upward.
+var segments = recordlog.Series{Prefix: "seg-", Suffix: ".jsonl"}
 
 // Header is the first record of every checkpoint segment: the identity a
 // resume or merge validates before trusting a single cell record.
@@ -108,47 +100,6 @@ func (c CellRecord) Restore() sweep.CellResult {
 	return r
 }
 
-// EncodeRecord frames one journal record line — the crc-guarded framing
-// every doda journal shares (checkpoint segments, progress records, and
-// the fleet coordinator's event log reuse it).
-func EncodeRecord(body []byte) []byte { return encodeLine(body) }
-
-// DecodeRecord verifies a record line's frame and crc and returns the
-// JSON body; failures wrap ErrCorrupt.
-func DecodeRecord(line []byte) ([]byte, error) { return decodeLine(line) }
-
-// SplitRecords splits raw journal bytes into newline-terminated record
-// lines, reporting whether a torn (unterminated) tail was dropped.
-func SplitRecords(raw []byte) ([][]byte, bool) { return splitLines(raw) }
-
-// encodeLine frames one record: 8 lowercase hex digits of the CRC-32C of
-// the JSON body, one space, the body, '\n'. The body is JSON, so it can
-// never contain a raw newline — the line is the record boundary.
-func encodeLine(body []byte) []byte {
-	line := make([]byte, 0, len(body)+10)
-	line = append(line, fmt.Sprintf("%08x ", crc32.Checksum(body, castagnoli))...)
-	line = append(line, body...)
-	return append(line, '\n')
-}
-
-// decodeLine verifies a record line's frame and crc and returns the JSON
-// body. All failures wrap ErrCorrupt; the caller decides whether the
-// position (torn tail of the final segment) makes them recoverable.
-func decodeLine(line []byte) ([]byte, error) {
-	if len(line) < 10 || line[8] != ' ' {
-		return nil, fmt.Errorf("%w: malformed record frame", ErrCorrupt)
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad crc field: %v", ErrCorrupt, err)
-	}
-	body := line[9:]
-	if got := crc32.Checksum(body, castagnoli); got != uint32(want) {
-		return nil, fmt.Errorf("%w: crc mismatch (want %08x, got %08x)", ErrCorrupt, want, got)
-	}
-	return body, nil
-}
-
 // headerFor builds the checkpoint identity of a (grid, shard) pair.
 func headerFor(grid sweep.Grid, shardIndex, shardCount int) (Header, error) {
 	fp, err := grid.Fingerprint()
@@ -190,68 +141,6 @@ type Journal struct {
 	buf     []any // CellRecord | ReplicaRecord, in journal order
 }
 
-// segName renders the n-th segment's final file name; zero-padding keeps
-// lexicographic order equal to numeric order.
-func segName(n int) string {
-	return fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix)
-}
-
-// segNumber parses a segment file name, reporting whether it is one.
-func segNumber(name string) (int, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-		return 0, false
-	}
-	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix))
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// writeSegment atomically publishes one segment: write a tmp file, sync
-// it, rename it to its final name, then sync the directory so the rename
-// survives a power cut. A crash mid-write leaves only a tmp file, which
-// readers ignore and the next writer cleans up. The tmp file is created
-// with O_EXCL: a checkpoint has exactly one live writer (crashed writers'
-// leftovers are cleaned by Create/Open first), so an existing tmp means a
-// concurrent process is journaling into the same directory — fail loudly
-// rather than let two writers corrupt each other's segments.
-func writeSegment(fsys chaos.FS, dir, name string, lines [][]byte) error {
-	tmp := filepath.Join(dir, name+tmpSuffix)
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		if errors.Is(err, os.ErrExist) {
-			return fmt.Errorf("sweepd: %s already exists — another live process is writing this checkpoint (it has exactly one writer; shard to separate directories instead)", tmp)
-		}
-		return err
-	}
-	for _, line := range lines {
-		if _, err := f.Write(line); err != nil {
-			f.Close()
-			fsys.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	// Directory fsync makes the rename durable; filesystems that refuse
-	// it outright are tolerated inside chaos.Disk, but a real I/O failure
-	// must surface — swallowing it would let Checkpoint report durability
-	// it does not have.
-	return fsys.SyncDir(dir)
-}
-
 // Create starts a fresh checkpoint in dir for one shard of the grid. The
 // directory is created if needed; it must not already hold a checkpoint
 // (ErrCheckpointExists — resume instead). Leftover tmp files from a
@@ -271,12 +160,12 @@ func createFS(fsys chaos.FS, dir string, grid sweep.Grid, shardIndex, shardCount
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	names, err := segmentNames(dir, true)
+	nums, err := segments.List(fsys, dir, progressPrefix)
 	if err != nil {
 		return nil, err
 	}
-	if len(names) > 0 {
-		return nil, fmt.Errorf("%w: %s has %d segment(s)", ErrCheckpointExists, dir, len(names))
+	if len(nums) > 0 {
+		return nil, fmt.Errorf("%w: %s has %d segment(s)", ErrCheckpointExists, dir, len(nums))
 	}
 	j := &Journal{fs: fsys, dir: dir, header: h, nextSeg: 0}
 	if err := j.writeRecords(nil); err != nil {
@@ -314,12 +203,12 @@ func openResumeFS(fsys chaos.FS, dir string, grid sweep.Grid, shardIndex, shardC
 	cp, err := readCheckpoint(dir)
 	if errors.Is(err, ErrNoCheckpoint) {
 		if errors.Is(err, errGenesisTorn) {
-			names, nerr := segmentNames(dir, true)
+			nums, nerr := segments.List(fsys, dir, progressPrefix)
 			if nerr != nil {
 				return nil, nil, nil, nerr
 			}
-			for _, name := range names {
-				if rerr := fsys.Remove(filepath.Join(dir, name)); rerr != nil {
+			for _, n := range nums {
+				if rerr := fsys.Remove(filepath.Join(dir, segments.Name(n))); rerr != nil {
 					return nil, nil, nil, rerr
 				}
 			}
@@ -335,7 +224,7 @@ func openResumeFS(fsys chaos.FS, dir string, grid sweep.Grid, shardIndex, shardC
 	}
 	// Sweep away tmp files a crashed writer left behind; only final
 	// (renamed) segments count.
-	if _, err := segmentNames(dir, true); err != nil {
+	if _, err := segments.List(fsys, dir, progressPrefix); err != nil {
 		return nil, nil, nil, err
 	}
 	if !cp.header.matches(h) {
@@ -398,20 +287,19 @@ func (j *Journal) Checkpoint() error {
 
 // writeRecords publishes one segment holding the header plus recs.
 func (j *Journal) writeRecords(recs []any) error {
-	lines := make([][]byte, 0, len(recs)+1)
 	hb, err := json.Marshal(j.header)
 	if err != nil {
 		return err
 	}
-	lines = append(lines, encodeLine(hb))
+	data := recordlog.AppendFrame(nil, hb)
 	for _, rec := range recs {
 		b, err := json.Marshal(rec)
 		if err != nil {
 			return err
 		}
-		lines = append(lines, encodeLine(b))
+		data = recordlog.AppendFrame(data, b)
 	}
-	if err := writeSegment(fsOf(j.fs), j.dir, segName(j.nextSeg), lines); err != nil {
+	if err := recordlog.Publish(j.fs, j.dir, segments.Name(j.nextSeg), data); err != nil {
 		return err
 	}
 	j.nextSeg++
@@ -431,10 +319,10 @@ type checkpoint struct {
 	replicas map[int][]ReplicaRecord
 	nextSeg  int
 	// torn tail of the final segment, if any: the segment's name and the
-	// valid raw lines to rewrite it with (possibly none — then the file
-	// is removed outright).
-	tornSeg   string
-	tornLines [][]byte
+	// intact prefix to rewrite it with (possibly empty — then the file is
+	// removed outright).
+	tornSeg  string
+	tornKeep []byte
 }
 
 // repair rewrites (or removes) a torn final segment so the checkpoint
@@ -443,123 +331,59 @@ func (cp *checkpoint) repair(fsys chaos.FS, dir string) error {
 	if cp.tornSeg == "" {
 		return nil
 	}
-	if len(cp.tornLines) == 0 {
+	if len(cp.tornKeep) == 0 {
 		if err := fsys.Remove(filepath.Join(dir, cp.tornSeg)); err != nil {
 			return err
 		}
 		return fsys.SyncDir(dir)
 	}
-	return writeSegment(fsys, dir, cp.tornSeg, cp.tornLines)
+	return recordlog.Publish(fsys, dir, cp.tornSeg, cp.tornKeep)
 }
 
-// segmentNames lists the final (non-tmp) segment file names in dir in
-// segment order; cleanTmp additionally deletes leftover tmp files from a
-// crashed writer. A missing directory reads as empty.
-func segmentNames(dir string, cleanTmp bool) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if cleanTmp && strings.HasSuffix(name, tmpSuffix) {
-			if _, ok := segNumber(strings.TrimSuffix(name, tmpSuffix)); ok ||
-				strings.HasPrefix(name, progressPrefix) {
-				os.Remove(filepath.Join(dir, name))
-			}
-			continue
-		}
-		if _, ok := segNumber(name); ok {
-			names = append(names, name)
-		}
-	}
-	sort.Slice(names, func(i, k int) bool {
-		a, _ := segNumber(names[i])
-		b, _ := segNumber(names[k])
-		return a < b
-	})
-	return names, nil
-}
-
-// readCheckpoint parses every segment of dir. Corruption policy: a crc or
-// parse failure on the last line(s) of the final segment is a torn tail —
-// the valid prefix is kept and the truncation recorded for repair;
-// corruption anywhere else is ErrCorrupt. Every segment's header must
-// match segment 0's.
+// readCheckpoint parses every segment of dir under recordlog's
+// torn-record rule: a torn tail is legal only in the final segment, whose
+// intact prefix is kept and recorded for repair; damage anywhere else is
+// ErrCorrupt. A record whose crc verifies was written intact, so a
+// semantic failure on it (header mismatch, duplicate cell, version skew)
+// is fatal even in the final segment. Every segment's header must match
+// segment 0's.
 func readCheckpoint(dir string) (*checkpoint, error) {
-	names, err := segmentNames(dir, false)
+	nums, err := segments.List(nil, dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
+	if len(nums) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoCheckpoint, dir)
 	}
-	cp := &checkpoint{replicas: make(map[int][]ReplicaRecord)}
+	cp := &checkpoint{replicas: make(map[int][]ReplicaRecord), nextSeg: nums[len(nums)-1] + 1}
 	seen := make(map[int]string)
-	for si, name := range names {
+	for si, n := range nums {
+		name := segments.Name(n)
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
-		last := si == len(names)-1
-		lines, torn := splitLines(raw)
-		if torn && !last {
-			return nil, fmt.Errorf("%w: segment %s has a torn tail but is not the final segment", ErrCorrupt, name)
-		}
-		var valid [][]byte
-		for li, line := range lines {
-			body, err := decodeLine(line)
-			if err != nil {
-				// A frame/crc failure is how a torn write looks:
-				// recoverable, but only as the tail of the final segment.
-				// Anything after it is part of the same torn write and is
-				// dropped too.
-				if !last {
-					return nil, fmt.Errorf("segment %s record %d: %w", name, li, err)
-				}
-				torn = true
-				break
-			}
-			// A line whose crc verifies was written intact — a semantic
-			// failure on it (header mismatch, duplicate cell, version
-			// skew) is never truncation, so it is fatal even in the final
-			// segment: repairing it away would silently destroy journaled
-			// records and the evidence of how they got mixed.
-			var perr error
+		good, torn, err := recordlog.Replay(bytes.NewReader(raw), 0, func(li int, body []byte) error {
 			if li == 0 {
-				perr = cp.readHeader(si, name, body)
-			} else {
-				perr = cp.readRecord(name, li, body, seen)
+				return cp.readHeader(si, name, body)
 			}
-			if perr != nil {
-				return nil, fmt.Errorf("segment %s record %d: %w", name, li, perr)
-			}
-			// Keep raw line copies only where they can be needed: as the
-			// rewrite content when this (final) segment turns out torn.
-			if last {
-				keep := make([]byte, 0, len(line)+1)
-				keep = append(append(keep, line...), '\n')
-				valid = append(valid, keep)
-			}
+			return cp.readRecord(name, li, body, seen)
+		})
+		if errors.Is(err, recordlog.ErrCorrupt) {
+			return nil, fmt.Errorf("%w: segment %s: %w", ErrCorrupt, name, err)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if torn {
-			cp.tornSeg = name
-			cp.tornLines = valid
-		}
-		n, _ := segNumber(name)
-		if n >= cp.nextSeg {
-			cp.nextSeg = n + 1
+			if si < len(nums)-1 {
+				return nil, fmt.Errorf("%w: segment %s has a torn tail but is not the final segment", ErrCorrupt, name)
+			}
+			cp.tornSeg, cp.tornKeep = name, raw[:good]
 		}
 	}
 	if cp.header.Version == 0 {
-		if len(names) == 1 && cp.tornSeg != "" && len(cp.tornLines) == 0 {
+		if len(nums) == 1 && cp.tornSeg != "" && len(cp.tornKeep) == 0 {
 			// The only segment tore before its header record survived: the
 			// crash hit the very first publish, so nothing was ever durable.
 			// That is an empty checkpoint, not corruption — the opener
@@ -576,15 +400,25 @@ func readCheckpoint(dir string) (*checkpoint, error) {
 // creating fresh.
 var errGenesisTorn = errors.New("only segment torn before its header")
 
-// readHeader parses and validates one segment's header record.
-func (cp *checkpoint) readHeader(si int, name string, body []byte) error {
+// decodeHeader parses one segment's header record and checks its
+// schema version.
+func decodeHeader(name string, body []byte) (Header, error) {
 	var h Header
 	if err := json.Unmarshal(body, &h); err != nil {
-		return fmt.Errorf("%w: segment %s header: %v", ErrCorrupt, name, err)
+		return h, fmt.Errorf("%w: segment %s header: %v", ErrCorrupt, name, err)
 	}
 	if h.Version != recordVersion {
-		return fmt.Errorf("%w: segment %s has version %d, this reader speaks %d",
+		return h, fmt.Errorf("%w: segment %s has version %d, this reader speaks %d",
 			ErrStaleCheckpoint, name, h.Version, recordVersion)
+	}
+	return h, nil
+}
+
+// readHeader folds one segment's header record into the checkpoint.
+func (cp *checkpoint) readHeader(si int, name string, body []byte) error {
+	h, err := decodeHeader(name, body)
+	if err != nil {
+		return err
 	}
 	if si == 0 {
 		cp.header = h
@@ -596,34 +430,51 @@ func (cp *checkpoint) readHeader(si int, name string, body []byte) error {
 	return nil
 }
 
-// readRecord parses one non-header record line, dispatching on the JSON
+// decodeRecord parses one non-header record, dispatching on the JSON
 // shape: cell records carry "result", replica records carry "out". Both
 // kinds share recordVersion 1 — the discriminator is additive, so
-// pre-replica checkpoints read unchanged.
-func (cp *checkpoint) readRecord(name string, li int, body []byte, seen map[int]string) error {
+// pre-replica checkpoints read unchanged. On success exactly one of the
+// two records is non-nil.
+func decodeRecord(name string, li int, body []byte) (*CellRecord, *ReplicaRecord, error) {
 	var probe struct {
 		Result *json.RawMessage `json:"result"`
 		Out    *json.RawMessage `json:"out"`
 	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return fmt.Errorf("%w: segment %s record %d: %v", ErrCorrupt, name, li, err)
+	err := json.Unmarshal(body, &probe)
+	switch {
+	case err != nil:
+	case probe.Result != nil:
+		var rec CellRecord
+		if err = json.Unmarshal(body, &rec); err == nil {
+			return &rec, nil, nil
+		}
+	case probe.Out != nil:
+		var rec ReplicaRecord
+		if err = json.Unmarshal(body, &rec); err == nil {
+			return nil, &rec, nil
+		}
+	default:
+		err = errors.New("neither a cell nor a replica record")
 	}
-	if probe.Result != nil {
-		return cp.readCell(name, li, body, seen)
-	}
-	if probe.Out != nil {
-		return cp.readReplica(name, li, body, seen)
-	}
-	return fmt.Errorf("%w: segment %s record %d: neither a cell nor a replica record", ErrCorrupt, name, li)
+	return nil, nil, fmt.Errorf("%w: segment %s record %d: %v", ErrCorrupt, name, li, err)
 }
 
-// readCell parses one cell record, rejecting duplicate cell indexes (no
-// legitimate writer produces them; a duplicate means mixed checkpoints).
-func (cp *checkpoint) readCell(name string, li int, body []byte, seen map[int]string) error {
-	var rec CellRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return fmt.Errorf("%w: segment %s record %d: %v", ErrCorrupt, name, li, err)
+// readRecord folds one non-header record into the checkpoint.
+func (cp *checkpoint) readRecord(name string, li int, body []byte, seen map[int]string) error {
+	cell, rep, err := decodeRecord(name, li, body)
+	switch {
+	case err != nil:
+		return err
+	case cell != nil:
+		return cp.readCell(name, li, *cell, seen)
+	default:
+		return cp.readReplica(name, *rep, seen)
 	}
+}
+
+// readCell folds one cell record, rejecting duplicate cell indexes (no
+// legitimate writer produces them; a duplicate means mixed checkpoints).
+func (cp *checkpoint) readCell(name string, li int, rec CellRecord, seen map[int]string) error {
 	if rec.Index != rec.Result.Index {
 		return fmt.Errorf("%w: segment %s record %d: index %d disagrees with result index %d",
 			ErrCorrupt, name, li, rec.Index, rec.Result.Index)
@@ -639,14 +490,10 @@ func (cp *checkpoint) readCell(name string, li int, body []byte, seen map[int]st
 	return nil
 }
 
-// readReplica parses one replica record. Replicas of a cell must read
+// readReplica folds one replica record. Replicas of a cell must read
 // back contiguous from 0 and must precede the cell's own record — any
 // other shape means mixed or reordered checkpoints, which is fatal.
-func (cp *checkpoint) readReplica(name string, li int, body []byte, seen map[int]string) error {
-	var rec ReplicaRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return fmt.Errorf("%w: segment %s record %d: %v", ErrCorrupt, name, li, err)
-	}
+func (cp *checkpoint) readReplica(name string, rec ReplicaRecord, seen map[int]string) error {
 	if prev, done := seen[rec.CellIndex]; done {
 		return fmt.Errorf("%w: replica record for cell %d in %s after its cell record in %s",
 			ErrCorrupt, rec.CellIndex, name, prev)
@@ -657,20 +504,6 @@ func (cp *checkpoint) readReplica(name string, li int, body []byte, seen map[int
 	}
 	cp.replicas[rec.CellIndex] = append(cp.replicas[rec.CellIndex], rec)
 	return nil
-}
-
-// splitLines splits raw segment bytes into newline-terminated records,
-// reporting whether a torn (unterminated) tail was dropped.
-func splitLines(raw []byte) (lines [][]byte, torn bool) {
-	for len(raw) > 0 {
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			return lines, true // no terminator: torn tail
-		}
-		lines = append(lines, raw[:nl])
-		raw = raw[nl+1:]
-	}
-	return lines, false
 }
 
 // ReadCheckpoint reads a checkpoint directory without opening it for

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"doda/internal/recordlog"
 	"doda/internal/stats"
 	"doda/internal/sweep"
 )
@@ -121,11 +122,11 @@ func TestJournalRoundTrip(t *testing.T) {
 // lastSegment returns the path of the newest segment file in dir.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
-	names, err := segmentNames(dir, false)
-	if err != nil || len(names) == 0 {
+	nums, err := segments.List(nil, dir)
+	if err != nil || len(nums) == 0 {
 		t.Fatalf("no segments in %s: %v", dir, err)
 	}
-	return filepath.Join(dir, names[len(names)-1])
+	return filepath.Join(dir, segments.Name(nums[len(nums)-1]))
 }
 
 // TestTruncatedTailRecovery kills bytes off the final record — a torn
@@ -318,8 +319,8 @@ func TestLeftoverTmpFilesIgnoredAndCleaned(t *testing.T) {
 	if err := j.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// A crash mid-writeSegment leaves a tmp file.
-	tmp := filepath.Join(dir, segName(99)+tmpSuffix)
+	// A crash mid-publish leaves a tmp file.
+	tmp := filepath.Join(dir, segments.Name(99)+".tmp")
 	if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +369,8 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Skip("unmarshalable fuzz value (e.g. ±Inf)")
 		}
-		line := encodeLine(body)
-		got, err := decodeLine(bytes.TrimSuffix(line, []byte("\n")))
+		line := recordlog.AppendFrame(nil, body)
+		got, err := recordlog.Decode(bytes.TrimSuffix(line, []byte("\n")))
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -388,27 +389,6 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeLineHostile throws arbitrary bytes at the frame decoder: it
-// must reject or accept but never panic, and accepted frames must carry a
-// valid crc.
-func FuzzDecodeLineHostile(f *testing.F) {
-	f.Add([]byte(""))
-	f.Add([]byte("00000000 {}"))
-	f.Add([]byte("zzzzzzzz {}"))
-	f.Add(encodeLine([]byte(`{"index":1}`)))
-	f.Fuzz(func(t *testing.T, line []byte) {
-		body, err := decodeLine(line)
-		if err == nil {
-			// Accepted: the body must survive a fresh encode→decode.
-			line2 := encodeLine(body)
-			body2, err2 := decodeLine(bytes.TrimSuffix(line2, []byte("\n")))
-			if err2 != nil || !bytes.Equal(body, body2) {
-				t.Fatalf("accepted body does not round-trip: %q (%v)", line, err2)
-			}
-		}
-	})
-}
-
 // TestConcurrentWriterDetected: a second live writer on the same
 // checkpoint directory must fail loudly at the O_EXCL tmp file instead
 // of silently corrupting segments (crashed writers' leftover tmps are
@@ -422,7 +402,7 @@ func TestConcurrentWriterDetected(t *testing.T) {
 	}
 	// Simulate the other process mid-write of the segment j will publish
 	// next.
-	tmp := filepath.Join(dir, segName(1)+tmpSuffix)
+	tmp := filepath.Join(dir, segments.Name(1)+".tmp")
 	if err := os.WriteFile(tmp, []byte("other writer"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -460,8 +440,8 @@ func TestSemanticCorruptionInFinalSegmentIsFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := append(encodeLine(hb), encodeLine(rb)...)
-	if err := os.WriteFile(filepath.Join(dir, segName(2)), seg, 0o644); err != nil {
+	seg := recordlog.AppendFrame(recordlog.AppendFrame(nil, hb), rb)
+	if err := os.WriteFile(filepath.Join(dir, segments.Name(2)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadCheckpoint(dir); !errors.Is(err, ErrCorrupt) {
@@ -471,7 +451,7 @@ func TestSemanticCorruptionInFinalSegmentIsFatal(t *testing.T) {
 		t.Fatalf("open must not repair semantic corruption away: got %v", err)
 	}
 	// The crafted segment must still be on disk (evidence preserved).
-	if _, err := os.Stat(filepath.Join(dir, segName(2))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, segments.Name(2))); err != nil {
 		t.Errorf("evidence segment removed: %v", err)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"doda/internal/chaos"
+	"doda/internal/recordlog"
 	"doda/internal/sweep"
 )
 
@@ -216,11 +217,11 @@ func TestWatcherToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := segmentNames(dir, false)
+	nums, err := segments.List(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := filepath.Join(dir, names[len(names)-1])
+	last := filepath.Join(dir, segments.Name(nums[len(nums)-1]))
 	raw, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
@@ -244,15 +245,15 @@ func TestWatcherRejectsSemanticCorruption(t *testing.T) {
 	grid := gridSmall()
 	dir := filepath.Join(t.TempDir(), "ck")
 	runUntilKilled(t, grid, dir, 1, 0, 1, 0, false)
-	names, err := segmentNames(dir, false)
+	nums, err := segments.List(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, names[len(names)-1]))
+	raw, err := os.ReadFile(filepath.Join(dir, segments.Name(nums[len(nums)-1])))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segName(len(names))), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segments.Name(len(nums))), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewWatcher(dir).Snapshot(); !errors.Is(err, ErrCorrupt) {
@@ -267,7 +268,7 @@ func TestWatcherEmptyDir(t *testing.T) {
 	if _, err := NewWatcher(dir).Snapshot(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("empty dir: got %v, want ErrNoCheckpoint", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segName(0)+tmpSuffix), []byte("half-written"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segments.Name(0)+".tmp"), []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewWatcher(dir).Snapshot(); !errors.Is(err, ErrNoCheckpoint) {
@@ -299,7 +300,7 @@ func TestProgressRecordLifecycle(t *testing.T) {
 	for name, contents := range map[string][]byte{
 		"torn":        raw[:len(raw)-4],
 		"crc-damaged": append([]byte("deadbeef"), raw[8:]...),
-		"not-json":    encodeLine([]byte("not json")),
+		"not-json":    recordlog.AppendFrame(nil, []byte("not json")),
 		"empty":       {},
 	} {
 		if err := os.WriteFile(path, contents, 0o644); err != nil {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"doda/internal/chaos"
+	"doda/internal/recordlog"
 )
 
 // progressName is the advisory progress record's file name inside a
@@ -53,12 +54,12 @@ func writeProgress(fsys chaos.FS, dir string, p Progress) error {
 	if err != nil {
 		return err
 	}
-	f, err := fsys.CreateTemp(dir, progressPrefix+"-*"+tmpSuffix)
+	f, err := fsys.CreateTemp(dir, progressPrefix+"-*.tmp")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(encodeLine(body)); err != nil {
+	if _, err := f.Write(recordlog.AppendFrame(nil, body)); err != nil {
 		f.Close()
 		fsys.Remove(tmp)
 		return err
@@ -78,24 +79,24 @@ func writeProgress(fsys chaos.FS, dir string, p Progress) error {
 // otherwise unreadable file reads as (nil, nil): progress is best-effort
 // and a reader must never fail a dashboard over it.
 func ReadProgress(dir string) (*Progress, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, progressName))
+	f, err := os.Open(filepath.Join(dir, progressName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	lines, torn := splitLines(raw)
-	if torn || len(lines) != 1 {
+	defer f.Close()
+	var p *Progress
+	_, torn, err := recordlog.Replay(f, 0, func(i int, body []byte) error {
+		if i > 0 {
+			return errors.New("more than one record")
+		}
+		p = new(Progress)
+		return json.Unmarshal(body, p)
+	})
+	if err != nil || torn {
 		return nil, nil
 	}
-	body, err := decodeLine(lines[0])
-	if err != nil {
-		return nil, nil
-	}
-	var p Progress
-	if err := json.Unmarshal(body, &p); err != nil {
-		return nil, nil
-	}
-	return &p, nil
+	return p, nil
 }

@@ -1,12 +1,13 @@
 package sweepd
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"doda/internal/recordlog"
 	"doda/internal/sweep"
 )
 
@@ -94,15 +95,18 @@ func NewWatcher(dir string) *Watcher {
 // Snapshot polls the directory and returns the current progress view.
 // A directory with no published segments yet is ErrNoCheckpoint.
 func (w *Watcher) Snapshot() (*Snapshot, error) {
-	names, err := segmentNames(w.dir, false)
+	nums, err := segments.List(nil, w.dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
+	if len(nums) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoCheckpoint, w.dir)
 	}
+	names := make([]string, len(nums))
 	current := make(map[string]bool, len(names))
-	for _, name := range names {
+	for i, n := range nums {
+		name := segments.Name(n)
+		names[i] = name
 		current[name] = true
 		if err := w.refresh(name); err != nil {
 			return nil, err
@@ -141,65 +145,54 @@ func (w *Watcher) refresh(name string) error {
 		return err
 	}
 	sv := &segView{size: fi.Size(), mtimeNs: fi.ModTime().UnixNano()}
-	lines, _ := splitLines(raw)
-	for li, line := range lines {
-		body, err := decodeLine(line)
-		if err != nil {
-			// A frame/crc failure is a torn write: count the valid
-			// prefix, ignore the rest. Unlike readCheckpoint, a live
-			// reader tolerates this in any segment — it may hold a stale
-			// listing while the writer repairs and appends, and the
-			// valid prefix is correct either way.
-			break
-		}
-		if li == 0 {
-			var h Header
-			if err := json.Unmarshal(body, &h); err != nil {
-				break // torn-looking header: treat segment as empty for now
-			}
-			if h.Version != recordVersion {
-				return fmt.Errorf("%w: segment %s has version %d, this reader speaks %d",
-					ErrStaleCheckpoint, name, h.Version, recordVersion)
-			}
-			sv.header = h
-			continue
-		}
-		var probe struct {
-			Result *json.RawMessage `json:"result"`
-			Out    *json.RawMessage `json:"out"`
-		}
-		if err := json.Unmarshal(body, &probe); err != nil {
-			return fmt.Errorf("%w: segment %s record %d: %v", ErrCorrupt, name, li, err)
-		}
-		switch {
-		case probe.Result != nil:
-			var rec CellRecord
-			if err := json.Unmarshal(body, &rec); err != nil {
-				return fmt.Errorf("%w: segment %s record %d: %v", ErrCorrupt, name, li, err)
-			}
-			cv := cellView{
-				index:         rec.Index,
-				transmissions: rec.Result.Transmissions,
-				wallMs:        rec.WallMs,
-			}
-			m := rec.Result.Interactions
-			cv.interactions = m.Mean * float64(m.Count)
-			sv.cells = append(sv.cells, cv)
-		case probe.Out != nil:
-			var rec ReplicaRecord
-			if err := json.Unmarshal(body, &rec); err != nil {
-				return fmt.Errorf("%w: segment %s record %d: %v", ErrCorrupt, name, li, err)
-			}
-			sv.reps = append(sv.reps, repView{
-				cell: rec.CellIndex, rep: rec.Rep,
-				interactions:  rec.Out.Interactions,
-				transmissions: rec.Out.Transmissions,
-			})
-		default:
-			return fmt.Errorf("%w: segment %s record %d: neither a cell nor a replica record", ErrCorrupt, name, li)
-		}
+	_, _, err = recordlog.Replay(bytes.NewReader(raw), 0, func(li int, body []byte) error {
+		return sv.add(name, li, body)
+	})
+	// Damage ends the segment's valid prefix: count the prefix, ignore
+	// the rest. Unlike readCheckpoint, a live reader tolerates damage in
+	// any segment and at any position — it may hold a stale listing while
+	// the writer repairs and appends, and the valid prefix is correct
+	// either way.
+	if err != nil && !errors.Is(err, recordlog.ErrCorrupt) && !errors.Is(err, errTornHeader) {
+		return err
 	}
 	w.segs[name] = sv
+	return nil
+}
+
+// errTornHeader stops a segment whose header record does not parse yet:
+// the Watcher treats it as empty for now.
+var errTornHeader = errors.New("header does not parse")
+
+// add folds one intact record of segment name into the view.
+func (sv *segView) add(name string, li int, body []byte) error {
+	if li == 0 {
+		h, err := decodeHeader(name, body)
+		if errors.Is(err, ErrCorrupt) {
+			return errTornHeader
+		}
+		sv.header = h
+		return err
+	}
+	cell, rep, err := decodeRecord(name, li, body)
+	switch {
+	case err != nil:
+		return err
+	case cell != nil:
+		m := cell.Result.Interactions
+		sv.cells = append(sv.cells, cellView{
+			index:         cell.Index,
+			interactions:  m.Mean * float64(m.Count),
+			transmissions: cell.Result.Transmissions,
+			wallMs:        cell.WallMs,
+		})
+	default:
+		sv.reps = append(sv.reps, repView{
+			cell: rep.CellIndex, rep: rep.Rep,
+			interactions:  rep.Out.Interactions,
+			transmissions: rep.Out.Transmissions,
+		})
+	}
 	return nil
 }
 
