@@ -114,19 +114,28 @@ type hotpathReport struct {
 	ServeDensity  serveDensityReport    `json:"serve_density"`
 }
 
+// nextOnly embeds only core.Adversary, so it hides NextBatch: the engine
+// plays the wrapped adversary one Next call at a time, the path every
+// plain adaptive adversary takes.
+type nextOnly struct{ core.Adversary }
+
 // benchEngine measures the sequential engine's steady-state interaction
 // cost: engine reuse via Reset, generated uniform adversary, Gathering.
-// batched selects the BatchAdversary drain path; scalar runs force the
-// per-interaction Next path the engine used before batching existed.
+// batched keeps the adversary's BatchAdversary drain path; otherwise the
+// adversary runs behind nextOnly, on the per-interaction Next path.
 func benchEngine(n int, batched bool) (perInteraction, error) {
-	cfg := core.Config{N: n, MaxInteractions: 400*n*n + 4000, VerifyAggregate: true, DisableBatch: !batched}
+	cfg := core.Config{N: n, MaxInteractions: 400*n*n + 4000, VerifyAggregate: true}
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return perInteraction{}, err
 	}
-	adv, err := adversary.NewGenerated("uniform", n, seq.UniformGen(n, rng.New(1)))
+	var adv core.Adversary
+	adv, err = adversary.NewGenerated("uniform", n, seq.UniformGen(n, rng.New(1)))
 	if err != nil {
 		return perInteraction{}, err
+	}
+	if !batched {
+		adv = nextOnly{adv}
 	}
 	alg := algorithms.NewGathering()
 	var interactions int64
@@ -263,18 +272,23 @@ func benchWeightedGen(n int) (perDraw, error) {
 }
 
 // largeNRun plays one uniform Gathering run to termination and times it.
+// disableBatch runs the adversary behind nextOnly.
 func largeNRun(n int, seed uint64, prov core.ProvenanceMode, disableBatch bool) (int64, time.Duration, error) {
 	cfg := core.Config{
 		N: n, MaxInteractions: 400*n*n + 4000, VerifyAggregate: true,
-		Provenance: prov, DisableBatch: disableBatch,
+		Provenance: prov,
 	}
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	adv, err := adversary.NewGenerated("uniform", n, seq.UniformGen(n, rng.New(seed)))
+	var adv core.Adversary
+	adv, err = adversary.NewGenerated("uniform", n, seq.UniformGen(n, rng.New(seed)))
 	if err != nil {
 		return 0, 0, err
+	}
+	if disableBatch {
+		adv = nextOnly{adv}
 	}
 	start := time.Now()
 	out, err := eng.Run(algorithms.NewGathering(), adv)

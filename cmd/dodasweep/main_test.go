@@ -130,7 +130,7 @@ func TestSweepProvenanceFlag(t *testing.T) {
 // TestSweepProvenanceModesAgreeOnStatistics checks, at the CLI level,
 // that full and count-only provenance change nothing but the mode label
 // in the streamed JSONL (the batched-vs-scalar differential gate lives
-// in internal/sweep, where ForceScalar is reachable).
+// in internal/sweep, whose tests can hide the adversary's NextBatch).
 func TestSweepProvenanceModesAgreeOnStatistics(t *testing.T) {
 	base := []string{"-scenarios", "uniform;zipf:alpha=1", "-algs", "waiting,gathering",
 		"-n", "8,12", "-reps", "2", "-seed", "3"}

@@ -21,9 +21,8 @@ func TestAdaptiveOwnersCoarseMatchesScalar(t *testing.T) {
 				cfg := core.Config{
 					N: n, MaxInteractions: 4 * n,
 					VerifyAggregate: true, Provenance: mode,
-					DisableBatch: disable,
 				}
-				res, err := core.RunOnce(cfg, algorithms.NewGathering(), NewAdaptiveOwners(uint64(n)*3+uint64(mode)))
+				res, err := core.RunOnce(cfg, algorithms.NewGathering(), hideBatch(disable, NewAdaptiveOwners(uint64(n)*3+uint64(mode))))
 				if err != nil {
 					t.Fatalf("n=%d mode=%v disable=%v: %v", n, mode, disable, err)
 				}
@@ -53,8 +52,8 @@ func TestAdaptiveOwnersWaitingMatches(t *testing.T) {
 	const n = 48
 	var results [2]core.Result
 	for i, disable := range []bool{false, true} {
-		cfg := core.Config{N: n, MaxInteractions: 1 << 20, DisableBatch: disable}
-		res, err := core.RunOnce(cfg, algorithms.Waiting{}, NewAdaptiveOwners(11))
+		cfg := core.Config{N: n, MaxInteractions: 1 << 20}
+		res, err := core.RunOnce(cfg, algorithms.Waiting{}, hideBatch(disable, NewAdaptiveOwners(11)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,6 +65,19 @@ func TestAdaptiveOwnersWaitingMatches(t *testing.T) {
 	if !results[0].Terminated || results[0].Declined == 0 {
 		t.Errorf("unexpected run shape: %+v", results[0])
 	}
+}
+
+// nextOnly embeds only core.Adversary, so it hides NextCoarseBatch: the
+// engine plays the wrapped adversary one Next call at a time, the
+// reference path of the differential tests.
+type nextOnly struct{ core.Adversary }
+
+// hideBatch returns adv, or adv wrapped in nextOnly when hide is set.
+func hideBatch(hide bool, adv core.Adversary) core.Adversary {
+	if hide {
+		return nextOnly{adv}
+	}
+	return adv
 }
 
 // resEqual compares every scalar Result field plus the sink value.

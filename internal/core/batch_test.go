@@ -33,6 +33,19 @@ func (a batchGenAdv) NextBatch(t int, _ ExecView, buf []seq.Interaction) int {
 	return len(buf)
 }
 
+// nextOnly embeds only Adversary, so it hides NextBatch and
+// NextCoarseBatch: the engine plays the wrapped adversary one Next call
+// at a time. It is the reference path of every differential test here.
+type nextOnly struct{ Adversary }
+
+// hideBatch returns adv, or adv wrapped in nextOnly when hide is set.
+func hideBatch(hide bool, adv Adversary) Adversary {
+	if hide {
+		return nextOnly{adv}
+	}
+	return adv
+}
+
 // finiteBatchAdv emits a fixed sequence through both paths.
 type finiteBatchAdv struct {
 	steps []seq.Interaction
@@ -83,13 +96,11 @@ func runBatchedAndScalar(t *testing.T, cfg Config, seed uint64) (Result, Result)
 	t.Helper()
 	out := make([]Result, 2)
 	for i, disable := range []bool{false, true} {
-		c := cfg
-		c.DisableBatch = disable
-		eng, err := NewEngine(c)
+		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(gatherAlg{}, batchGenAdv{gen: seq.UniformGen(c.N, rng.New(seed))})
+		res, err := eng.Run(gatherAlg{}, hideBatch(disable, batchGenAdv{gen: seq.UniformGen(cfg.N, rng.New(seed))}))
 		if err != nil {
 			t.Fatalf("disable=%v: %v", disable, err)
 		}
@@ -148,13 +159,11 @@ func runBatchedAndScalar2(t *testing.T, cfg Config, seed uint64) (Result, Result
 	t.Helper()
 	out := make([]Result, 2)
 	for i, disable := range []bool{false, true} {
-		c := cfg
-		c.DisableBatch = disable
-		eng, err := NewEngine(c)
+		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(waitAlg{}, batchGenAdv{gen: seq.UniformGen(c.N, rng.New(seed))})
+		res, err := eng.Run(waitAlg{}, hideBatch(disable, batchGenAdv{gen: seq.UniformGen(cfg.N, rng.New(seed))}))
 		if err != nil {
 			t.Fatalf("disable=%v: %v", disable, err)
 		}
@@ -185,13 +194,11 @@ func TestBatchedExhaustionMatchesScalar(t *testing.T) {
 		cfg := Config{N: n, MaxInteractions: 1 << 20}
 		var results [2]Result
 		for i, disable := range []bool{false, true} {
-			c := cfg
-			c.DisableBatch = disable
-			eng, err := NewEngine(c)
+			eng, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Run(waitAlg{}, adv)
+			res, err := eng.Run(waitAlg{}, hideBatch(disable, adv))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,12 +229,12 @@ func TestBatchedErrorParity(t *testing.T) {
 			var errs [2]string
 			var results [2]Result
 			for i, disable := range []bool{false, true} {
-				cfg := Config{N: n, MaxInteractions: 1 << 20, DisableBatch: disable}
+				cfg := Config{N: n, MaxInteractions: 1 << 20}
 				eng, err := NewEngine(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := eng.Run(waitAlg{}, mk())
+				res, err := eng.Run(waitAlg{}, hideBatch(disable, mk()))
 				if err == nil {
 					t.Fatalf("bad=%v at=%d disable=%v: expected error", bad, at, disable)
 				}

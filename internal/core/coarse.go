@@ -19,7 +19,6 @@ package core
 // byte-identical to what the scalar path would have played.
 
 import (
-	"fmt"
 	"math/bits"
 
 	"doda/internal/bitset"
@@ -95,67 +94,4 @@ func PrescreenBoth(words []uint64, batch []seq.Interaction, mask []uint64) int {
 		active += bits.OnesCount64(m)
 	}
 	return active
-}
-
-// runCoarse drains a CoarseBatchAdversary through e.batch, replaying each
-// drained prefix until the ownership state changes (a transfer), then
-// re-draining from the new state. Differentially tested equal to the
-// scalar path for pure implementations.
-func (e *Engine) runCoarse(alg Algorithm, adv CoarseBatchAdversary, res *Result) error {
-	observer, observes := alg.(Observer)
-	events := e.cfg.Events
-	if len(e.batch) == 0 {
-		e.batch = make([]seq.Interaction, batchSize)
-	}
-	n := e.cfg.N
-	for t := 0; t < e.cfg.MaxInteractions; {
-		want := len(e.batch)
-		if rem := e.cfg.MaxInteractions - t; rem < want {
-			want = rem
-		}
-		got := adv.NextCoarseBatch(t, e, e.batch[:want])
-		if got < 0 || got > want {
-			return fmt.Errorf("core: adversary %s returned %d interactions for a %d-slot batch", adv.Name(), got, want)
-		}
-		if got == 0 {
-			return nil // exhausted under the current state
-		}
-		ownBefore := e.nOwn
-		consumed := got
-		for i := 0; i < got; i++ {
-			canon := e.batch[i]
-			if canon.U > canon.V {
-				canon.U, canon.V = canon.V, canon.U
-			}
-			if canon.U < 0 || canon.U == canon.V || int(canon.V) >= n {
-				if _, err := seq.NewInteraction(e.batch[i].U, e.batch[i].V); err != nil {
-					return fmt.Errorf("core: adversary %s at t=%d: %w", adv.Name(), t+i, err)
-				}
-				return fmt.Errorf("core: adversary %s at t=%d: interaction %v out of range", adv.Name(), t+i, canon)
-			}
-			res.Interactions++
-			done, err := e.step(alg, observer, observes, events, canon, t+i, res)
-			if err != nil || done {
-				return err
-			}
-			if e.nOwn != ownBefore {
-				// A transfer invalidated the rest of the batch: the
-				// adversary would have emitted different interactions
-				// from here. Discard and re-drain at the new state.
-				consumed = i + 1
-				break
-			}
-		}
-		t += consumed
-		if consumed == got && got < want && e.nOwn == ownBefore {
-			// The whole batch was consumed without an ownership change,
-			// so the state the adversary declared exhaustion under still
-			// holds: the scalar path's Next(t) would also return !ok. If
-			// a transfer landed on the batch's last interaction, the
-			// exhaustion claim was made under dead state — fall through
-			// and re-drain.
-			return nil
-		}
-	}
-	return nil
 }

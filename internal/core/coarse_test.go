@@ -1,11 +1,11 @@
 package core
 
 // Tests for the coarse-state batching contract and the word-parallel
-// ownership prescreen: runCoarse must be observationally identical to the
-// scalar path for any pure CoarseBatchAdversary (results, errors, partial
-// progress, exhaustion), PrescreenBoth must agree with the naive
-// both-own check, and the engine's OwnerWords mirror must track owns
-// exactly through a run.
+// ownership prescreen: the coarse drain must be observationally
+// identical to the scalar path for any pure CoarseBatchAdversary
+// (results, errors, partial progress, exhaustion), PrescreenBoth must
+// agree with the naive both-own check, and the engine's OwnerWords
+// mirror must track owns exactly through a run.
 
 import (
 	"fmt"
@@ -87,13 +87,11 @@ func runCoarseAndScalar(t *testing.T, cfg Config, alg Algorithm, adv coarseOwner
 	var out [2]Result
 	var errs [2]error
 	for i, disable := range []bool{false, true} {
-		c := cfg
-		c.DisableBatch = disable
-		eng, err := NewEngine(c)
+		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i], errs[i] = eng.Run(alg, adv)
+		out[i], errs[i] = eng.Run(alg, hideBatch(disable, adv))
 	}
 	return out[0], out[1], errs[0], errs[1]
 }
@@ -214,11 +212,11 @@ func (a transferAtAlg) Decide(_ *Env, _ seq.Interaction, t int) Decision {
 // instead of stopping — the scalar path keeps going.
 func TestCoarseExhaustionAfterFinalTransfer(t *testing.T) {
 	for _, disable := range []bool{false, true} {
-		eng, err := NewEngine(Config{N: 8, MaxInteractions: 1 << 20, DisableBatch: disable})
+		eng, err := NewEngine(Config{N: 8, MaxInteractions: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(transferAtAlg{at: 2}, stateBoundAdv{})
+		res, err := eng.Run(transferAtAlg{at: 2}, hideBatch(disable, stateBoundAdv{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +349,7 @@ func TestPrescreenBoth(t *testing.T) {
 func TestOwnerWordsTracksOwns(t *testing.T) {
 	const n = 100
 	check := checkWordsAdv{inner: coarseOwnersAdv{seed: 17, badAt: -1}, t: t}
-	eng, err := NewEngine(Config{N: n, MaxInteractions: 1 << 20, DisableBatch: true})
+	eng, err := NewEngine(Config{N: n, MaxInteractions: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

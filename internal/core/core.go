@@ -305,10 +305,6 @@ type Config struct {
 	// O(n²) bitset memory; see ProvenanceMode for what each mode still
 	// verifies.
 	Provenance ProvenanceMode
-	// DisableBatch forces the scalar Adversary.Next path even when the
-	// adversary implements BatchAdversary. Differential tests use it to
-	// prove the batched and scalar paths equivalent.
-	DisableBatch bool
 	// Arena, when set, supplies the engine's word-backed state — the
 	// packed ownership bitset and, under full provenance, every origin
 	// set — from one contiguous pre-sized block instead of n+1 separate
@@ -535,9 +531,11 @@ const batchSize = 512
 // model violations (nil algorithm, transfers between non-owners, double
 // aggregation); normal non-termination is not an error.
 //
-// Adversaries implementing BatchAdversary are drained through a reusable
-// buffer instead of one Next call per interaction; the two paths produce
-// identical Results (differentially tested across the scenario registry).
+// The adversary's type alone picks the drain path: a BatchAdversary or
+// CoarseBatchAdversary is drained through a reusable buffer, any other
+// adversary one Next call per interaction. The paths produce identical
+// Results; differential tests get the one-at-a-time reference by hiding
+// the batch methods behind a wrapper that embeds only Adversary.
 func (e *Engine) Run(alg Algorithm, adv Adversary) (Result, error) {
 	if alg == nil || adv == nil {
 		return Result{}, fmt.Errorf("core: nil algorithm or adversary")
@@ -565,11 +563,12 @@ func (e *Engine) Run(alg Algorithm, adv Adversary) (Result, error) {
 	}
 
 	var err error
-	if ba, ok := adv.(BatchAdversary); ok && !e.cfg.DisableBatch {
-		err = e.runBatched(alg, ba, &res)
-	} else if ca, ok := adv.(CoarseBatchAdversary); ok && !e.cfg.DisableBatch {
-		err = e.runCoarse(alg, ca, &res)
-	} else {
+	switch a := adv.(type) {
+	case BatchAdversary:
+		err = e.runBatched(alg, a, nil, &res)
+	case CoarseBatchAdversary:
+		err = e.runBatched(alg, nil, a, &res)
+	default:
 		err = e.runScalar(alg, adv, &res)
 	}
 	if err != nil {
@@ -598,12 +597,9 @@ func (e *Engine) runScalar(alg Algorithm, adv Adversary, res *Result) error {
 		if !ok {
 			return nil // adversary exhausted its (finite) sequence
 		}
-		canon, err := seq.NewInteraction(it.U, it.V)
-		if err != nil {
-			return fmt.Errorf("core: adversary %s at t=%d: %w", adv.Name(), t, err)
-		}
-		if int(canon.V) >= e.cfg.N {
-			return fmt.Errorf("core: adversary %s at t=%d: interaction %v out of range", adv.Name(), t, canon)
+		canon, ok := seq.Canon(it, e.cfg.N)
+		if !ok {
+			return fmt.Errorf("core: adversary %s at t=%d: %w", adv.Name(), t, seq.CanonError(it))
 		}
 		res.Interactions++
 		done, err := e.step(alg, observer, observes, events, canon, t, res)
@@ -614,14 +610,24 @@ func (e *Engine) runScalar(alg Algorithm, adv Adversary, res *Result) error {
 	return nil
 }
 
-// runBatched drains the adversary through e.batch: one NextBatch call and
-// one bounds-checked canonicalisation sweep per batchSize interactions,
-// instead of an interface dispatch plus a validating call per interaction.
-func (e *Engine) runBatched(alg Algorithm, adv BatchAdversary, res *Result) error {
+// runBatched drains the adversary through e.batch: one drain call and one
+// canonicalisation sweep per batchSize interactions, instead of an
+// interface dispatch plus a validating call per interaction. Exactly one
+// of ba and ca is non-nil. An oblivious drain (ba) is played whole. A
+// coarse drain (ca) was computed against the ownership state at drain
+// time, so after a transfer its unplayed tail is dropped and the
+// adversary is drained again from the new state; for a pure
+// CoarseBatchAdversary the played prefix is exactly what the scalar
+// path's Next calls would have returned.
+func (e *Engine) runBatched(alg Algorithm, ba BatchAdversary, ca CoarseBatchAdversary, res *Result) error {
 	observer, observes := alg.(Observer)
 	events := e.cfg.Events
 	if len(e.batch) == 0 {
 		e.batch = make([]seq.Interaction, batchSize)
+	}
+	var adv Adversary = ba
+	if ca != nil {
+		adv = ca
 	}
 	n := e.cfg.N
 	for t := 0; t < e.cfg.MaxInteractions; {
@@ -629,40 +635,48 @@ func (e *Engine) runBatched(alg Algorithm, adv BatchAdversary, res *Result) erro
 		if rem := e.cfg.MaxInteractions - t; rem < want {
 			want = rem
 		}
-		got := adv.NextBatch(t, e, e.batch[:want])
+		var got int
+		if ca != nil {
+			got = ca.NextCoarseBatch(t, e, e.batch[:want])
+		} else {
+			got = ba.NextBatch(t, e, e.batch[:want])
+		}
 		if got < 0 || got > want {
 			return fmt.Errorf("core: adversary %s returned %d interactions for a %d-slot batch", adv.Name(), got, want)
 		}
+		ownBefore := e.nOwn
+		played := got
 		for i := 0; i < got; i++ {
-			canon := e.batch[i]
-			if canon.U > canon.V {
-				canon.U, canon.V = canon.V, canon.U
-			}
-			if canon.U < 0 || canon.U == canon.V || int(canon.V) >= n {
-				// Rare path: rebuild the exact error the scalar loop's
-				// seq.NewInteraction + range check would have produced.
-				if _, err := seq.NewInteraction(e.batch[i].U, e.batch[i].V); err != nil {
-					return fmt.Errorf("core: adversary %s at t=%d: %w", adv.Name(), t+i, err)
-				}
-				return fmt.Errorf("core: adversary %s at t=%d: interaction %v out of range", adv.Name(), t+i, canon)
+			canon, ok := seq.Canon(e.batch[i], n)
+			if !ok {
+				return fmt.Errorf("core: adversary %s at t=%d: %w", adv.Name(), t+i, seq.CanonError(e.batch[i]))
 			}
 			res.Interactions++
 			done, err := e.step(alg, observer, observes, events, canon, t+i, res)
 			if err != nil || done {
 				return err
 			}
+			if ca != nil && e.nOwn != ownBefore {
+				played = i + 1
+				break
+			}
 		}
-		t += got
-		if got < want {
-			return nil // adversary exhausted its (finite) sequence
+		t += played
+		// A short drain means the sequence is exhausted. A coarse drain
+		// declared that under the drain-time ownership state, so it ends
+		// the run only if no transfer happened inside the drain; after a
+		// transfer (even on the drain's last interaction) drain again.
+		if got < want && (ca == nil || e.nOwn == ownBefore) {
+			return nil
 		}
 	}
 	return nil
 }
 
 // step plays one canonical, range-checked interaction — the shared body
-// of the scalar and batched loops, so the two paths cannot drift. It
-// returns done = true when the run is over (termination or failure).
+// of the scalar and batched loops and of Feed, so the paths cannot
+// drift. It returns done = true when the run is over (termination or
+// failure).
 func (e *Engine) step(alg Algorithm, observer Observer, observes bool, events EventSink, canon seq.Interaction, t int, res *Result) (bool, error) {
 	if observes {
 		observer.Observe(e.env, canon, t)

@@ -78,14 +78,10 @@ func (e *Engine) Feed(it seq.Interaction) (done bool, err error) {
 		e.str.done = true
 		return true, nil
 	}
-	canon, err := seq.NewInteraction(it.U, it.V)
-	if err != nil {
+	canon, ok := seq.Canon(it, e.cfg.N)
+	if !ok {
 		e.str.done = true
-		return true, fmt.Errorf("core: fed at t=%d: %w", e.str.t, err)
-	}
-	if int(canon.V) >= e.cfg.N {
-		e.str.done = true
-		return true, fmt.Errorf("core: fed at t=%d: interaction %v out of range", e.str.t, canon)
+		return true, fmt.Errorf("core: fed at t=%d: %w", e.str.t, seq.CanonError(it))
 	}
 	e.str.res.Interactions++
 	over, err := e.step(e.str.alg, e.str.observer, e.str.observes, e.cfg.Events, canon, e.str.t, &e.str.res)

@@ -36,6 +36,29 @@ func NewInteraction(a, b graph.NodeID) (Interaction, error) {
 	return Interaction{U: a, V: b}, nil
 }
 
+// Canon returns the canonical form of it and whether it is a valid
+// interaction of an n-node network: no self-loop, no negative id, both
+// endpoints below n. It is the hot-loop check the engine, the sharded
+// runtime and the server's admission share, small enough to inline;
+// CanonError explains a rejection.
+func Canon(it Interaction, n int) (Interaction, bool) {
+	if it.U > it.V {
+		it.U, it.V = it.V, it.U
+	}
+	return it, it.U >= 0 && it.U != it.V && int(it.V) < n
+}
+
+// CanonError is the error for an interaction Canon rejected: the one
+// NewInteraction reports, or else an out-of-range error naming the
+// canonical pair.
+func CanonError(it Interaction) error {
+	canon, err := NewInteraction(it.U, it.V)
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("interaction %v out of range", canon)
+}
+
 // MustInteraction is NewInteraction for literals; it panics on self-pairs.
 func MustInteraction(a, b graph.NodeID) Interaction {
 	i, err := NewInteraction(a, b)

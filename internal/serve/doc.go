@@ -78,7 +78,10 @@
 // contiguous block per instance sized exactly from (n, provenance
 // mode), so a host's memory budget divides cleanly into an instance
 // budget — the serve_density section of BENCH_hotpath.json commits the
-// measured bytes/instance and instances/GB.
+// measured bytes/instance and instances/GB. A full-provenance arena
+// holds n·⌈n/64⌉ words, so Register (and the HTTP endpoint over it)
+// refuses any n above a fixed ceiling of 16384 nodes, where the arena
+// is 32 MiB; the HTTP answer is a 400 naming the limit.
 //
 // # Failure model
 //

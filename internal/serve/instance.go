@@ -272,7 +272,7 @@ func (inst *Instance) validate(its []seq.Interaction) error {
 		return fmt.Errorf("serve: empty batch")
 	}
 	for _, it := range its {
-		if it.U < 0 || it.V < 0 || int(it.U) >= inst.cfg.N || int(it.V) >= inst.cfg.N || it.U == it.V {
+		if _, ok := seq.Canon(it, inst.cfg.N); !ok {
 			return fmt.Errorf("serve: interaction {%d %d} invalid for n=%d", it.U, it.V, inst.cfg.N)
 		}
 	}

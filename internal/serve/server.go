@@ -232,9 +232,18 @@ func restoreEngine(rec *recovered) (*core.Engine, error) {
 	return eng, nil
 }
 
+// maxNodes caps the node count of a registered instance. A
+// full-provenance arena holds n·⌈n/64⌉ words, so an unchecked n lets one
+// registration exhaust the process's memory and take every hosted
+// instance down with it; at this ceiling the arena is 32 MiB.
+const maxNodes = 16384
+
 // Register creates a new aggregation instance. Under a live cap it may
 // first evict the least-recently-touched live instance to make room.
 func (s *Server) Register(icfg InstanceConfig) (*Instance, error) {
+	if icfg.N > maxNodes {
+		return nil, fmt.Errorf("serve: n=%d exceeds the limit of %d nodes per instance", icfg.N, maxNodes)
+	}
 	icfg = icfg.normalized()
 	cfg, alg, err := icfg.engineConfig()
 	if err != nil {

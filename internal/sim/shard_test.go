@@ -200,17 +200,17 @@ func TestSimCoarseMatchesEngine(t *testing.T) {
 		{"waiting", func() core.Algorithm { return algorithms.Waiting{} }},
 	} {
 		eng, err := core.RunOnce(core.Config{
-			N: n, MaxInteractions: 1 << 18, VerifyAggregate: true, DisableBatch: true,
-		}, tc.alg(), adversary.NewAdaptiveOwners(5))
+			N: n, MaxInteractions: 1 << 18, VerifyAggregate: true,
+		}, tc.alg(), nextOnly{adversary.NewAdaptiveOwners(5)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, disable := range []bool{false, true} {
-			rt, err := NewRuntime(Config{N: n, MaxInteractions: 1 << 18, DisableBatch: disable})
+			rt, err := NewRuntime(Config{N: n, MaxInteractions: 1 << 18})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := rt.Run(tc.alg(), adversary.NewAdaptiveOwners(5))
+			res, err := rt.Run(tc.alg(), hideBatch(disable, adversary.NewAdaptiveOwners(5)))
 			rt.Close()
 			if err != nil {
 				t.Fatalf("%s disable=%v: %v", tc.name, disable, err)
@@ -270,14 +270,14 @@ func (a transferAtAlg) Decide(_ *core.Env, _ seq.Interaction, t int) core.Decisi
 // TestSimCoarseExhaustionAfterFinalTransfer pins the coarse loop's
 // subtlest window in the sim scheduler: exhaustion declared by a short
 // batch whose last interaction is the transfer that invalidates the
-// claim — the scheduler must re-drain, like Engine.runCoarse does.
+// claim — the scheduler must re-drain, like Engine.Run does.
 func TestSimCoarseExhaustionAfterFinalTransfer(t *testing.T) {
 	for _, disable := range []bool{false, true} {
-		rt, err := NewRuntime(Config{N: 8, MaxInteractions: 1 << 20, DisableBatch: disable})
+		rt, err := NewRuntime(Config{N: 8, MaxInteractions: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rt.Run(transferAtAlg{at: 2}, stateBoundAdv{})
+		res, err := rt.Run(transferAtAlg{at: 2}, hideBatch(disable, stateBoundAdv{}))
 		rt.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -58,9 +58,6 @@ type Config struct {
 	// Provenance mirrors core.Config.Provenance: non-full modes skip
 	// the per-node origin bitsets and their per-transfer unions.
 	Provenance core.ProvenanceMode
-	// DisableBatch mirrors core.Config.DisableBatch: force one
-	// Adversary.Next call per interaction even for batchable sources.
-	DisableBatch bool
 	// Shards is the number of persistent shard workers node state is
 	// partitioned over (0 = auto: GOMAXPROCS clamped to [2,4], never
 	// more than N). Differential tests sweep it to prove the result is
@@ -317,10 +314,11 @@ func (rt *Runtime) shardOf(u graph.NodeID) int {
 	return int(u) * rt.nShards / rt.cfg.N
 }
 
-// Run plays alg against adv on the shard fleet. The dispatch mirrors
-// core.Engine.Run: batchable (oblivious) adversaries are drained
-// through the prescreened batch path, coarse-state adaptive adversaries
-// through a drain-replay loop, everything else one Next at a time.
+// Run plays alg against adv on the shard fleet. As in core.Engine.Run,
+// the adversary's type alone picks the path: batchable (oblivious)
+// adversaries are drained through the prescreened batch path,
+// coarse-state adaptive adversaries through a drain-replay loop,
+// everything else one Next at a time.
 func (rt *Runtime) Run(alg core.Algorithm, adv core.Adversary) (core.Result, error) {
 	if alg == nil || adv == nil {
 		return core.Result{}, fmt.Errorf("sim: nil algorithm or adversary")
@@ -349,11 +347,12 @@ func (rt *Runtime) Run(alg core.Algorithm, adv core.Adversary) (core.Result, err
 		Duration:  -1,
 	}
 	var err error
-	if ba, ok := adv.(core.BatchAdversary); ok && !rt.cfg.DisableBatch {
-		err = rt.runBatchedSim(ba, &res)
-	} else if ca, ok := adv.(core.CoarseBatchAdversary); ok && !rt.cfg.DisableBatch {
-		err = rt.runCoarseSim(ca, &res)
-	} else {
+	switch a := adv.(type) {
+	case core.BatchAdversary:
+		err = rt.runBatchedSim(a, &res)
+	case core.CoarseBatchAdversary:
+		err = rt.runCoarseSim(a, &res)
+	default:
 		err = rt.runScalarSim(adv, &res)
 	}
 	if err != nil {
@@ -431,7 +430,7 @@ func (rt *Runtime) runBatchedSim(ba core.BatchAdversary, res *core.Result) error
 
 // runCoarseSim drains a coarse-state adaptive adversary and replays the
 // drain one interaction at a time until the ownership state changes,
-// then re-drains — the sim-side mirror of Engine.runCoarse. Unlike the
+// then re-drains — the sim-side mirror of the engine's coarse drains. Unlike the
 // oblivious path the tail of a drained batch is only hypothetically
 // valid (the adversary would emit different interactions after a
 // transfer), so interactions past the first ownership change must never
@@ -465,7 +464,7 @@ func (rt *Runtime) runCoarseSim(ca core.CoarseBatchAdversary, res *core.Result) 
 		if consumed == got && got < want && rt.nOwn == ownBefore {
 			// Exhaustion was declared under a state that still holds; a
 			// transfer on the batch's last interaction instead falls
-			// through and re-drains (see Engine.runCoarse).
+			// through and re-drains (see Engine.runBatched).
 			return nil
 		}
 	}
@@ -485,16 +484,9 @@ func (rt *Runtime) playBatch(start, blen int, res *core.Result) (bool, error) {
 	var pendErr error
 	valid := blen
 	for i := range batch {
-		c := batch[i]
-		if c.U > c.V {
-			c.U, c.V = c.V, c.U
-		}
-		if c.U < 0 || c.U == c.V || int(c.V) >= n {
-			if _, err := seq.NewInteraction(batch[i].U, batch[i].V); err != nil {
-				pendErr = fmt.Errorf("sim: adversary %s at t=%d: %w", rt.advName, start+i, err)
-			} else {
-				pendErr = fmt.Errorf("sim: adversary %s at t=%d: interaction %v out of range", rt.advName, start+i, c)
-			}
+		c, ok := seq.Canon(batch[i], n)
+		if !ok {
+			pendErr = fmt.Errorf("sim: adversary %s at t=%d: %w", rt.advName, start+i, seq.CanonError(batch[i]))
 			valid = i
 			break
 		}
@@ -556,12 +548,9 @@ func (rt *Runtime) playBatch(start, blen int, res *core.Result) (bool, error) {
 // playOne validates and plays a single interaction: inactive ones are
 // integrated directly, active ones dispatched as a one-slot batch.
 func (rt *Runtime) playOne(t int, it seq.Interaction, res *core.Result) (bool, error) {
-	canon, err := seq.NewInteraction(it.U, it.V)
-	if err != nil {
-		return true, fmt.Errorf("sim: adversary %s at t=%d: %w", rt.advName, t, err)
-	}
-	if int(canon.V) >= rt.cfg.N {
-		return true, fmt.Errorf("sim: adversary %s at t=%d: interaction %v out of range", rt.advName, t, canon)
+	canon, ok := seq.Canon(it, rt.cfg.N)
+	if !ok {
+		return true, fmt.Errorf("sim: adversary %s at t=%d: %w", rt.advName, t, seq.CanonError(it))
 	}
 	if !rt.obsAll && !(bitset.TestWord(rt.ownWords, int(canon.U)) && bitset.TestWord(rt.ownWords, int(canon.V))) {
 		res.Interactions++

@@ -228,6 +228,20 @@ func TestRuntimeSequenceExhaustion(t *testing.T) {
 	}
 }
 
+// nextOnly embeds only core.Adversary, so it hides NextBatch and
+// NextCoarseBatch: the runtime and the engine play the wrapped adversary
+// one Next call at a time. It is the reference path of the differential
+// tests.
+type nextOnly struct{ core.Adversary }
+
+// hideBatch returns adv, or adv wrapped in nextOnly when hide is set.
+func hideBatch(hide bool, adv core.Adversary) core.Adversary {
+	if hide {
+		return nextOnly{adv}
+	}
+	return adv
+}
+
 // runtimeResult plays one seeded uniform Gathering workload through the
 // runtime under the given provenance/batch configuration.
 func runtimeResult(t *testing.T, n int, seed uint64, prov core.ProvenanceMode, disableBatch bool) core.Result {
@@ -238,13 +252,13 @@ func runtimeResult(t *testing.T, n int, seed uint64, prov core.ProvenanceMode, d
 	}
 	rt, err := NewRuntime(Config{
 		N: n, MaxInteractions: 50 * n * n,
-		Provenance: prov, DisableBatch: disableBatch,
+		Provenance: prov,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	res, err := rt.Run(algorithms.NewGathering(), adv)
+	res, err := rt.Run(algorithms.NewGathering(), hideBatch(disableBatch, adv))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,13 +64,20 @@ func TestBatchedSweepEqualsScalarSweep(t *testing.T) {
 			Provenance: prov,
 		}
 		batched := sweepJSONL(t, grid, Options{Workers: 2})
-		scalar := sweepJSONL(t, grid, Options{Workers: 2, ForceScalar: true})
+		scalar := sweepJSONL(t, grid, Options{Workers: 2, wrapAdversary: hideBatch})
 		if !bytes.Equal(batched, scalar) {
 			t.Errorf("provenance=%s: batched and scalar sweeps differ:\n--- batched ---\n%s\n--- scalar ---\n%s",
 				prov, batched, scalar)
 		}
 	}
 }
+
+// nextOnly embeds only core.Adversary, so it hides NextBatch and
+// NextCoarseBatch: the engine plays the wrapped adversary one Next call
+// at a time, the reference path of the differential tests.
+type nextOnly struct{ core.Adversary }
+
+func hideBatch(adv core.Adversary) core.Adversary { return nextOnly{adv} }
 
 // buildWorkload instantiates one registry scenario, writing a small
 // contact trace to disk for the trace spec.
@@ -125,9 +132,13 @@ func TestBatchedEqualsScalarEveryRegistryScenario(t *testing.T) {
 				}
 				cfg := core.Config{
 					N: w.N, MaxInteractions: cap, VerifyAggregate: true,
-					Provenance: mode, DisableBatch: disable,
+					Provenance: mode,
 				}
-				res, err := core.RunOnce(cfg, algorithms.NewGathering(), w.Adversary)
+				adv := w.Adversary
+				if disable {
+					adv = hideBatch(adv)
+				}
+				res, err := core.RunOnce(cfg, algorithms.NewGathering(), adv)
 				if err != nil {
 					t.Fatalf("%s disable=%v: %v", label, disable, err)
 				}

@@ -76,10 +76,6 @@ type Options struct {
 	// cannot write (short write, ENOSPC) must stop the sweep rather than
 	// silently lose cells.
 	OnResult func(CellResult) error
-	// ForceScalar disables the engine's batched adversary fast path for
-	// every run. Differential tests flip it to prove batched and scalar
-	// sweeps produce byte-identical output.
-	ForceScalar bool
 	// Select, when non-nil, restricts the sweep to the cells it returns
 	// true for. Cell identity (index, seed) is fixed by the full grid
 	// before selection, so a selected cell's result is byte-identical
@@ -110,6 +106,11 @@ type Options struct {
 	// bit-for-bit independent of machine speed. Called from worker
 	// goroutines; must be safe for concurrent use.
 	OnCellWall func(cell Cell, wall time.Duration)
+
+	// wrapAdversary, when non-nil, wraps every run's adversary. The
+	// package's differential tests set it to hide the batch extensions,
+	// which makes the engine play one Next call per interaction.
+	wrapAdversary func(core.Adversary) core.Adversary
 }
 
 // Run executes the grid and returns the per-cell results in cell order
@@ -307,9 +308,12 @@ func (r *runner) runCell(grid Grid, opt Options, cell Cell) (CellResult, error) 
 			adv = w.Adversary
 		}
 
+		if opt.wrapAdversary != nil {
+			adv = opt.wrapAdversary(adv)
+		}
 		cfg := core.Config{
 			N: n, MaxInteractions: cap, Know: know, VerifyAggregate: true,
-			Provenance: prov, DisableBatch: opt.ForceScalar,
+			Provenance: prov,
 		}
 		if r.eng == nil {
 			var err error

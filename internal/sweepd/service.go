@@ -15,9 +15,6 @@ type Options struct {
 	// Workers is the in-process worker count (< 1 = GOMAXPROCS), passed
 	// through to sweep.Run.
 	Workers int
-	// ForceScalar disables the engine's batched fast path (differential
-	// tests only), passed through to sweep.Run.
-	ForceScalar bool
 	// ShardIndex/ShardCount select which slice of the cell index space
 	// this process covers: the cells with sweep.ShardOf(index,
 	// ShardCount) == ShardIndex. ShardCount < 2 means the whole grid.
@@ -197,8 +194,7 @@ func Run(grid sweep.Grid, dir string, opt Options) ([]sweep.CellResult, sweep.To
 	}
 
 	sopt := sweep.Options{
-		Workers:     opt.Workers,
-		ForceScalar: opt.ForceScalar,
+		Workers: opt.Workers,
 		Select: func(c sweep.Cell) bool {
 			if !inShard(c) {
 				return false
