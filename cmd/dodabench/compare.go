@@ -27,6 +27,7 @@ func trackedMetrics(rep *hotpathReport) map[string]float64 {
 		"alias_sampler.ns_per_draw":                rep.AliasSampler.NsPerDraw,
 		"weighted_gen.ns_per_draw":                 rep.WeightedGen.NsPerDraw,
 		"large_n.batched_count_ns_per_interaction": rep.LargeN.BatchedCountNs,
+		"sweep_knowledge.ns_per_interaction":       rep.SweepKnowledge.NsPerInteraction,
 		// The no-WAL configuration isolates admission+queue+apply cost;
 		// the durable figures (fsync-bound) are recorded but not gated.
 		"serve_load.ephemeral_ns_per_op": rep.ServeLoad.EphemeralNsPerOp,
@@ -89,7 +90,10 @@ func compareBaseline(rep *hotpathReport, path string, tolerance float64, w io.Wr
 	if err := checkDensityGate(rep, &base, tolerance, w); err != nil {
 		return err
 	}
-	return checkAllocGates(rep, w)
+	if err := checkAllocGates(rep, w); err != nil {
+		return err
+	}
+	return checkSweepKnowledgeBytes(rep, w)
 }
 
 // checkDensityGate compares the serve_density memory figures against
@@ -179,6 +183,33 @@ func checkAllocGates(rep *hotpathReport, w io.Writer) error {
 	if len(failures) > 0 {
 		return fmt.Errorf("steady-state interaction loops must not allocate per run (ceiling %.1f): %s",
 			allocsPerRunMax, strings.Join(failures, "; "))
+	}
+	return nil
+}
+
+// sweepKnowledgeBytesMax is the absolute ceiling on what one uniform
+// waiting-greedy replica at n=256 allocates through the sweep engine.
+// Its meetTime oracle scans a generator and keeps only meeting times;
+// caching the scanned stream instead cost about 19 MB per replica. Like
+// the allocs gates this reads only the fresh report: bytes are
+// machine-independent, so no baseline or calibration applies.
+const sweepKnowledgeBytesMax = 64 << 10
+
+func checkSweepKnowledgeBytes(rep *hotpathReport, w io.Writer) error {
+	const name = "sweep_knowledge.bytes_per_replica"
+	k := rep.SweepKnowledge
+	if k.Replicas == 0 {
+		fmt.Fprintf(w, "  %-44s (skipped: section missing)\n", name)
+		return nil
+	}
+	verdict := "ok"
+	if k.BytesPerReplica > sweepKnowledgeBytesMax {
+		verdict = "REGRESSION"
+	}
+	fmt.Fprintf(w, "  %-44s %9.0f B/replica (ceiling %d)  %s\n", name, k.BytesPerReplica, sweepKnowledgeBytesMax, verdict)
+	if k.BytesPerReplica > sweepKnowledgeBytesMax {
+		return fmt.Errorf("%s is %.0f B, ceiling is %d B (uniform waiting-greedy, n=%d, %d replicas)",
+			name, k.BytesPerReplica, sweepKnowledgeBytesMax, k.N, k.Replicas)
 	}
 	return nil
 }

@@ -3,9 +3,10 @@ package main
 // Hot-path micro-benchmarks behind the -json flag: the perf trajectory
 // file BENCH_hotpath.json records ns/op and allocs/op for the engine's
 // steady-state interaction loop (scalar and batched), the concurrent
-// runtime, the alias sampler, the large-n engine configurations, and the
-// sweep engine's whole-fleet throughput, so future changes have a
-// baseline to compare against (see compare.go for the regression guard).
+// runtime, the alias sampler, the large-n engine configurations, the
+// sweep engine's whole-fleet throughput and its waiting-greedy cells, so
+// future changes have a baseline to compare against (see compare.go for
+// the regression guard).
 
 import (
 	"encoding/json"
@@ -92,26 +93,42 @@ type sweepProgressOverhead struct {
 	OverheadFrac    float64 `json:"overhead_frac"`
 }
 
+// sweepKnowledgeReport times one uniform waiting-greedy cell through the
+// sweep engine at one worker. NsPerInteraction is per played interaction
+// and includes the meetTime oracle's look-ahead scan; it is
+// regression-guarded like the engine figures. BytesPerReplica is
+// everything the timed run allocated over its replicas, gated absolutely
+// in compare.go.
+type sweepKnowledgeReport struct {
+	N                int     `json:"n"`
+	Replicas         int     `json:"replicas"`
+	Workers          int     `json:"workers"`
+	Interactions     float64 `json:"interactions"`
+	NsPerInteraction float64 `json:"ns_per_interaction"`
+	BytesPerReplica  float64 `json:"bytes_per_replica"`
+}
+
 // hotpathReport is the BENCH_hotpath.json document. CalibrationNs is a
 // fixed pure-CPU reference loop (rng.Uint64) measured alongside the
 // tracked metrics: the regression guard divides out the ratio of the two
 // reports' calibrations, so comparing a laptop baseline against a CI
 // runner gates on code changes rather than on hardware identity.
 type hotpathReport struct {
-	GoMaxProcs    int                   `json:"gomaxprocs"`
-	CalibrationNs float64               `json:"calibration_ns"`
-	Engine        perInteraction        `json:"engine"`
-	EngineBatched perInteraction        `json:"engine_batched"`
-	Sim           perInteraction        `json:"sim"`
-	SimSharded    perInteraction        `json:"sim_sharded"`
-	AliasSampler  perDraw               `json:"alias_sampler"`
-	WeightedGen   perDraw               `json:"weighted_gen"`
-	LargeN        largeNReport          `json:"large_n"`
-	Sweep         sweepThroughput       `json:"sweep"`
-	SweepLargeN   sweepLargeNReport     `json:"sweep_large_n"`
-	SweepProgress sweepProgressOverhead `json:"sweep_progress_overhead"`
-	ServeLoad     serveLoadReport       `json:"serve_load"`
-	ServeDensity  serveDensityReport    `json:"serve_density"`
+	GoMaxProcs     int                   `json:"gomaxprocs"`
+	CalibrationNs  float64               `json:"calibration_ns"`
+	Engine         perInteraction        `json:"engine"`
+	EngineBatched  perInteraction        `json:"engine_batched"`
+	Sim            perInteraction        `json:"sim"`
+	SimSharded     perInteraction        `json:"sim_sharded"`
+	AliasSampler   perDraw               `json:"alias_sampler"`
+	WeightedGen    perDraw               `json:"weighted_gen"`
+	LargeN         largeNReport          `json:"large_n"`
+	Sweep          sweepThroughput       `json:"sweep"`
+	SweepLargeN    sweepLargeNReport     `json:"sweep_large_n"`
+	SweepProgress  sweepProgressOverhead `json:"sweep_progress_overhead"`
+	SweepKnowledge sweepKnowledgeReport  `json:"sweep_knowledge"`
+	ServeLoad      serveLoadReport       `json:"serve_load"`
+	ServeDensity   serveDensityReport    `json:"serve_density"`
 }
 
 // nextOnly embeds only core.Adversary, so it hides NextBatch: the engine
@@ -482,6 +499,53 @@ func benchSweepProgress() (sweepProgressOverhead, error) {
 	return rep, nil
 }
 
+// benchSweepKnowledge runs one uniform waiting-greedy cell (n=256, 20
+// replicas) through sweep.Run on one worker: a discarded warm-up run,
+// then repeated runs for at least a second, keeping the fastest, whose
+// allocations give the bytes per replica. One run takes a few tens of
+// milliseconds, and on a shared host a stretch of such runs can all read
+// up to twice as slow as the rest; the fastest over a second is the
+// figure that repeats.
+func benchSweepKnowledge() (sweepKnowledgeReport, error) {
+	const n, replicas, minTrials = 256, 20, 5
+	grid := sweep.Grid{
+		Scenarios:  []sweep.ScenarioRef{{Name: "uniform"}},
+		Algorithms: []string{"waiting-greedy"},
+		Sizes:      []int{n},
+		Replicas:   replicas,
+		Seed:       4,
+	}
+	rep := sweepKnowledgeReport{N: n, Replicas: replicas, Workers: 1}
+	best := time.Duration(1 << 62)
+	var began time.Time
+	for trial := 0; trial <= minTrials || time.Since(began) < time.Second; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, totals, err := sweep.Run(grid, sweep.Options{Workers: 1})
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return sweepKnowledgeReport{}, err
+		}
+		if totals.Terminated != replicas {
+			return sweepKnowledgeReport{}, fmt.Errorf("%d of %d waiting-greedy replicas terminated", totals.Terminated, replicas)
+		}
+		if trial == 0 {
+			began = time.Now()
+			continue
+		}
+		if elapsed >= best {
+			continue
+		}
+		best = elapsed
+		rep.Interactions = totals.Interactions
+		rep.NsPerInteraction = float64(elapsed.Nanoseconds()) / totals.Interactions
+		rep.BytesPerReplica = float64(after.TotalAlloc-before.TotalAlloc) / replicas
+	}
+	return rep, nil
+}
+
 // benchCalibration times the reference loop: one xoshiro draw, a hot
 // pure-CPU operation no perf PR is likely to touch.
 func benchCalibration() float64 {
@@ -531,6 +595,9 @@ func collectHotpath() (*hotpathReport, error) {
 	}
 	if rep.SweepProgress, err = benchSweepProgress(); err != nil {
 		return nil, fmt.Errorf("sweep progress-overhead benchmark: %w", err)
+	}
+	if rep.SweepKnowledge, err = benchSweepKnowledge(); err != nil {
+		return nil, fmt.Errorf("knowledge sweep benchmark: %w", err)
 	}
 	if rep.ServeLoad, err = benchServeLoad(); err != nil {
 		return nil, fmt.Errorf("serve load benchmark: %w", err)

@@ -247,6 +247,47 @@ func TestProgressOverheadGate(t *testing.T) {
 	}
 }
 
+// TestSweepKnowledgeBytesGate unit-tests the absolute ceiling on what a
+// waiting-greedy sweep replica allocates: a report under 64 KiB passes
+// regardless of baseline, one over it fails, and a report without the
+// section is skipped.
+func TestSweepKnowledgeBytesGate(t *testing.T) {
+	dir := t.TempDir()
+	base := hotpathReport{}
+	base.Engine.NsPerInteraction = 100
+	basePath := filepath.Join(dir, "base.json")
+	raw, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(basePath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	lean := base
+	lean.SweepKnowledge = sweepKnowledgeReport{N: 256, Replicas: 20, Workers: 1, NsPerInteraction: 30, BytesPerReplica: 20 << 10}
+	var out strings.Builder
+	if err := compareBaseline(&lean, basePath, 0.25, &out); err != nil {
+		t.Errorf("20 KiB per replica failed the 64 KiB gate: %v\n%s", err, out.String())
+	}
+
+	cached := lean
+	cached.SweepKnowledge.BytesPerReplica = 19 << 20
+	out.Reset()
+	err = compareBaseline(&cached, basePath, 0.25, &out)
+	if err == nil || !strings.Contains(err.Error(), "sweep_knowledge.bytes_per_replica") {
+		t.Errorf("19 MiB per replica passed the gate: %v\n%s", err, out.String())
+	}
+
+	out.Reset()
+	if err := compareBaseline(&base, basePath, 0.25, &out); err != nil {
+		t.Errorf("missing section failed the gate: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "sweep_knowledge.bytes_per_replica") || !strings.Contains(out.String(), "skipped") {
+		t.Errorf("missing section not reported as skipped:\n%s", out.String())
+	}
+}
+
 // TestBaselineRequiresJSON pins the flag contract.
 func TestBaselineRequiresJSON(t *testing.T) {
 	if err := run([]string{"-baseline", "BENCH_hotpath.json"}); err == nil {

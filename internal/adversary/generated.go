@@ -6,8 +6,10 @@ package adversary
 // interaction so knowledge oracles can look ahead consistently — O(T)
 // memory and an amortised append per interaction. Algorithms that use no
 // look-ahead (Waiting, Gathering, the whole D∅ODA class) don't need any
-// of that, and sweep fleets run millions of interactions per cell, so the
-// caching would dominate the measurement loop's allocation profile.
+// of that, nor does Waiting Greedy, whose meetTime oracle can scan a
+// second generator built from the same model and seed; sweep fleets run
+// millions of interactions per cell, so the caching would dominate the
+// measurement loop's allocation profile.
 
 import (
 	"fmt"
@@ -18,8 +20,9 @@ import (
 
 // Generated adapts a raw generator function into an oblivious adversary
 // with no sequence caching. Use it on hot measurement paths where no
-// knowledge oracle needs to look ahead; use Oblivious + seq.Stream when
-// oracles must observe the same sequence.
+// knowledge oracle needs random access to the sequence (a meetTime
+// oracle can scan its own generator: knowledge.WithMeetTimeGen); use
+// Oblivious + seq.Stream when oracles must read the sequence at will.
 type Generated struct {
 	name string
 	n    int

@@ -147,9 +147,19 @@ func (g *Gathering) Decide(env *core.Env, it seq.Interaction, _ int) core.Decisi
 // A node whose next sink meeting is beyond τ (or nonexistent) hands its
 // data to the node that will meet the sink sooner; after time τ it
 // behaves like Gathering. Requires the meetTime oracle.
+//
+// Decide evaluates the rule lazily. WGτ transfers iff the later of m1,
+// m2 is after τ, and then the endpoint with the sooner meeting receives.
+// So it first asks, for each endpoint, only whether its meeting comes by
+// τ: both do gives ⊥, exactly one does makes that one the receiver.
+// Only when neither does it ask which meets the sink first, a scan that
+// stops at the first of the two meetings, with u1 receiving when neither
+// meets the sink within the oracle's horizon (both +∞). Neither exact
+// meeting time beyond τ is ever computed.
 type WaitingGreedy struct {
 	// Tau is the threshold parameter τ; Corollary 3 sets it to
-	// Θ(n^{3/2}√log n).
+	// Θ(n^{3/2}√log n). math.MaxInt stands for τ = +∞, under which no
+	// meeting is ever after τ and nothing transfers.
 	Tau int
 }
 
@@ -182,25 +192,25 @@ func (WaitingGreedy) Setup(env *core.Env) error {
 
 // Decide implements the WGτ rule; meetings beyond the oracle horizon are
 // treated as +∞ (the node certainly cannot reach the sink before τ).
+// The oracle errors only when it is not granted, which Setup rules out.
 func (w WaitingGreedy) Decide(env *core.Env, it seq.Interaction, t int) core.Decision {
-	m1 := meetOrInf(env, it.U, t)
-	m2 := meetOrInf(env, it.V, t)
-	switch {
-	case m1 <= m2 && w.Tau < m2:
-		return core.FirstReceives
-	case m1 > m2 && w.Tau < m1:
-		return core.SecondReceives
-	default:
+	if w.Tau == math.MaxInt {
 		return core.NoTransfer
 	}
-}
-
-func meetOrInf(env *core.Env, u graph.NodeID, t int) int {
-	m, ok, err := env.Know.MeetTime(u, t)
-	if err != nil || !ok {
-		return math.MaxInt
+	_, near1, _ := env.Know.MeetTimeWithin(it.U, t, w.Tau)
+	_, near2, _ := env.Know.MeetTimeWithin(it.V, t, w.Tau)
+	switch {
+	case near1 && near2:
+		return core.NoTransfer
+	case near1:
+		return core.FirstReceives
+	case near2:
+		return core.SecondReceives
 	}
-	return m
+	if first, _ := env.Know.SoonerToMeet(it.U, it.V, t); first == it.U {
+		return core.FirstReceives
+	}
+	return core.SecondReceives
 }
 
 // SpanningTree is the algorithm of Theorems 4 and 5: all nodes compute

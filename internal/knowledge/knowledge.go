@@ -8,7 +8,12 @@
 // Supported oracles:
 //
 //   - meetTime:  u.meetTime(t) = smallest t' > t with I_t' = {u, s}
-//     (identity for the sink itself) — used by Waiting Greedy.
+//     (identity for the sink itself) — used by Waiting Greedy, which
+//     asks only whether a meeting comes by τ (MeetTimeWithin) and, when
+//     neither endpoint's does, which comes first (SoonerToMeet). The
+//     oracle scans a View (WithMeetTime) or, caching nothing, a second
+//     generator instance of the sequence the adversary plays
+//     (WithMeetTimeGen).
 //   - future:    u.future = the sequence of interactions involving u,
 //     with their occurrence times — used by the Theorem 6 algorithm.
 //   - underlying graph Ḡ — used by the spanning-tree algorithm (§3.2).
@@ -50,6 +55,22 @@ func (f optionFunc) apply(b *Bundle) error { return f(b) }
 func WithMeetTime(view seq.View, sink graph.NodeID, horizon int) Option {
 	return optionFunc(func(b *Bundle) error {
 		mt, err := seq.NewMeetTimes(view, sink, horizon)
+		if err != nil {
+			return fmt.Errorf("meetTime oracle: %w", err)
+		}
+		b.meet = mt
+		return nil
+	})
+}
+
+// WithMeetTimeGen grants the meetTime oracle computed over the n-node
+// sequence gen produces, with the given look-ahead horizon. gen must
+// yield the sequence the execution plays — a generator built from the
+// adversary's model and seed — and is called with t = 0, 1, 2, ...; no
+// interaction is cached.
+func WithMeetTimeGen(n int, gen func(t int) seq.Interaction, sink graph.NodeID, horizon int) Option {
+	return optionFunc(func(b *Bundle) error {
+		mt, err := seq.NewMeetTimesGen(n, gen, sink, horizon)
 		if err != nil {
 			return fmt.Errorf("meetTime oracle: %w", err)
 		}
@@ -115,6 +136,29 @@ func (b *Bundle) MeetTime(u graph.NodeID, t int) (int, bool, error) {
 	}
 	mt, ok := b.meet.Next(u, t)
 	return mt, ok, nil
+}
+
+// MeetTimeWithin returns u.meetTime(t) and whether it is at most limit,
+// scanning no further than limit to decide (see seq.MeetTimes.NextWithin).
+// Calling it without the grant returns ErrNotGranted.
+func (b *Bundle) MeetTimeWithin(u graph.NodeID, t, limit int) (int, bool, error) {
+	if !b.HasMeetTime() {
+		return 0, false, ErrNotGranted
+	}
+	mt, ok := b.meet.NextWithin(u, t, limit)
+	return mt, ok, nil
+}
+
+// SoonerToMeet returns whichever of u1 and u2 has the smaller meetTime(t),
+// u1 on a tie, where a meeting beyond the oracle's horizon counts as +∞;
+// it scans only until the first of the two meetings (see
+// seq.MeetTimes.Sooner). Calling it without the grant returns
+// ErrNotGranted.
+func (b *Bundle) SoonerToMeet(u1, u2 graph.NodeID, t int) (graph.NodeID, error) {
+	if !b.HasMeetTime() {
+		return 0, ErrNotGranted
+	}
+	return b.meet.Sooner(u1, u2, t), nil
 }
 
 // HasFutures reports whether per-node futures are granted.

@@ -8,6 +8,7 @@ package seq
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"doda/internal/graph"
@@ -337,16 +338,28 @@ func RoundRobin(n int, edges []graph.Edge, rounds int) (*Sequence, error) {
 }
 
 // MeetTimes answers "when does node u next interact with the sink after
-// time t" queries over a View, caching scan progress so that repeated
+// time t" queries by scanning an interaction sequence once, in time
+// order, and indexing each node's sink meetings, so that repeated
 // queries cost amortised O(1) per examined interaction. This implements
 // the paper's u.meetTime knowledge (§2.1): the smallest t' > t with
 // I_t' = {u, s}; for u = s it is the identity t ↦ t.
 //
+// The index reads the sequence through a generator function called with
+// t = 0, 1, 2, ... and keeps only the meeting times, never the
+// interactions: over a View (NewMeetTimes) the generator is view.At;
+// over a model's generator (NewMeetTimesGen) nothing is cached at all,
+// so an oracle can scan a second generator instance of the sequence an
+// adversary plays. Queries scan only as far as their answer needs:
+// NextWithin stops at its limit, and Sooner at the first meeting of
+// either node.
+//
 // Horizon bounds the total look-ahead: queries whose answer lies beyond
 // horizon report no meeting. For finite views the natural horizon is the
-// sequence length; for streams callers must supply a budget.
+// sequence length; for streams and generators callers must supply a
+// budget.
 type MeetTimes struct {
-	view    View
+	gen     func(t int) Interaction
+	n       int
 	sink    graph.NodeID
 	horizon int
 	scanned int     // number of interactions examined so far
@@ -356,20 +369,33 @@ type MeetTimes struct {
 // NewMeetTimes builds a meet-time index for view and sink with the given
 // look-ahead horizon (capped at the view's bound when finite).
 func NewMeetTimes(view View, sink graph.NodeID, horizon int) (*MeetTimes, error) {
-	if sink < 0 || int(sink) >= view.N() {
-		return nil, fmt.Errorf("seq: sink %d out of range [0,%d)", sink, view.N())
+	if b, finite := view.Bound(); finite && horizon > b {
+		horizon = b
+	}
+	return NewMeetTimesGen(view.N(), view.At, sink, horizon)
+}
+
+// NewMeetTimesGen builds a meet-time index for sink over the n-node
+// sequence gen produces, with the given look-ahead horizon. gen is
+// called exactly once per time step, with t = 0, 1, 2, ..., as a model
+// generator requires; a fresh generator seeded like an adversary's
+// yields the sequence that adversary plays.
+func NewMeetTimesGen(n int, gen func(t int) Interaction, sink graph.NodeID, horizon int) (*MeetTimes, error) {
+	if sink < 0 || int(sink) >= n {
+		return nil, fmt.Errorf("seq: sink %d out of range [0,%d)", sink, n)
 	}
 	if horizon < 0 {
 		return nil, fmt.Errorf("seq: negative horizon %d", horizon)
 	}
-	if b, finite := view.Bound(); finite && horizon > b {
-		horizon = b
+	if gen == nil {
+		return nil, fmt.Errorf("seq: nil generator")
 	}
 	return &MeetTimes{
-		view:    view,
+		gen:     gen,
+		n:       n,
 		sink:    sink,
 		horizon: horizon,
-		times:   make([][]int, view.N()),
+		times:   make([][]int, n),
 	}, nil
 }
 
@@ -377,35 +403,83 @@ func NewMeetTimes(view View, sink graph.NodeID, horizon int) (*MeetTimes, error)
 // sink, and whether such a time exists within the horizon. For the sink
 // itself it returns (t, true), per the paper's convention.
 func (m *MeetTimes) Next(u graph.NodeID, t int) (int, bool) {
+	return m.NextWithin(u, t, math.MaxInt)
+}
+
+// NextWithin is Next bounded at limit: it reports whether u's next
+// meeting with the sink after t exists and is at most limit, returning
+// that meeting when it does, and scans no further than limit to decide.
+// For the sink itself the meeting is t.
+func (m *MeetTimes) NextWithin(u graph.NodeID, t, limit int) (int, bool) {
 	if u == m.sink {
-		return t, true
+		return t, t <= limit
 	}
-	if u < 0 || int(u) >= m.view.N() {
+	if u < 0 || int(u) >= m.n {
 		return 0, false
 	}
 	for {
-		// Binary search the cached meeting times of u for a value > t.
-		ts := m.times[u]
-		i := sort.SearchInts(ts, t+1)
-		if i < len(ts) {
-			return ts[i], true
+		if mt, ok := m.indexed(u, t); ok {
+			return mt, mt <= limit
 		}
-		if m.scanned >= m.horizon {
+		// Every meeting before m.scanned is indexed, so none lies in
+		// (t, limit] once the scan has passed limit.
+		if m.scanned >= m.horizon || m.scanned > limit {
 			return 0, false
 		}
 		m.extend()
 	}
 }
 
-// extend scans one more chunk of the view, indexing sink meetings.
+// Sooner returns whichever of a and b meets the sink first after t,
+// scanning only until the first of the two meetings. A node with no
+// meeting within the horizon meets it at +∞, and a tie (both at +∞)
+// goes to a. The sink meets itself at t, before any other node.
+func (m *MeetTimes) Sooner(a, b graph.NodeID, t int) graph.NodeID {
+	if a == m.sink {
+		return a
+	}
+	if b == m.sink {
+		return b
+	}
+	for {
+		ma, okA := m.indexed(a, t)
+		mb, okB := m.indexed(b, t)
+		// An indexed meeting precedes every unindexed one.
+		switch {
+		case okA && (!okB || ma <= mb):
+			return a
+		case okB:
+			return b
+		case m.scanned >= m.horizon:
+			return a
+		}
+		m.extend()
+	}
+}
+
+// indexed returns u's first meeting after t among those scanned so far.
+func (m *MeetTimes) indexed(u graph.NodeID, t int) (int, bool) {
+	if u < 0 || int(u) >= m.n {
+		return 0, false
+	}
+	ts := m.times[u]
+	if i := sort.SearchInts(ts, t+1); i < len(ts) {
+		return ts[i], true
+	}
+	return 0, false
+}
+
+// scanChunk is how many interactions one extend call examines.
+const scanChunk = 1024
+
+// extend scans one more chunk of the sequence, indexing sink meetings.
 func (m *MeetTimes) extend() {
-	const chunk = 1024
-	end := m.scanned + chunk
+	end := m.scanned + scanChunk
 	if end > m.horizon {
 		end = m.horizon
 	}
 	for t := m.scanned; t < end; t++ {
-		it := m.view.At(t)
+		it := m.gen(t)
 		if w, ok := it.Other(m.sink); ok {
 			m.times[w] = append(m.times[w], t)
 		}

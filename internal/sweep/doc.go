@@ -40,6 +40,12 @@
 // sample buffers, so the steady-state measurement loop does not
 // allocate; Grid.Provenance defaults to "auto", dropping from full
 // bitset provenance to count-only at AutoProvenanceThreshold nodes.
+// Cells on generative scenarios feed the engine straight from the
+// model's generator (adversary.Generated), caching nothing; a
+// waiting-greedy cell's meetTime oracle scans a second generator built
+// from the same model and replica seed. Only full-knowledge cells, which
+// need random access to the whole sequence, and trace replay run on
+// spec.Build's cached stream.
 //
 // ReadResults decodes the JSONL stream cmd/dodasweep writes back into
 // typed results, so saved output can feed internal/analysis without

@@ -30,37 +30,44 @@ func knownAlgorithm(name string) bool {
 	return false
 }
 
-// needsKnowledge reports whether the algorithm consults a knowledge
-// oracle and therefore needs a stream-backed (caching) workload; the
-// others run on the allocation-free generator fast path.
-func needsKnowledge(name string) bool {
-	return name == "waiting-greedy" || name == "full-knowledge"
+// needsSequence reports whether the algorithm needs random access to the
+// whole interaction sequence, and therefore a stream-backed (caching)
+// workload. Every other algorithm runs on the generator fast path, where
+// waiting-greedy's meetTime oracle scans a generator of its own.
+func needsSequence(name string) bool {
+	return name == "full-knowledge"
 }
 
 // newAlgorithm builds the named algorithm for an n-node run capped at cap
-// interactions, plus the knowledge bundle it requires (nil for the
-// knowledge-free algorithms; view must be non-nil for the others).
+// interactions, plus the knowledge bundle it requires with its oracles
+// over view (nil for the knowledge-free algorithms). A nil view builds
+// the algorithm alone: the generator fast path grants waiting-greedy's
+// meetTime oracle per replica itself.
 func newAlgorithm(name string, n, cap int, view seq.View) (core.Algorithm, *knowledge.Bundle, error) {
+	var (
+		alg   core.Algorithm
+		grant knowledge.Option
+	)
 	switch name {
 	case "waiting":
 		return algorithms.Waiting{}, nil, nil
 	case "gathering":
 		return algorithms.NewGathering(), nil, nil
 	case "waiting-greedy":
-		know, err := knowledge.NewBundle(knowledge.WithMeetTime(view, 0, cap))
-		if err != nil {
-			return nil, nil, err
-		}
-		return algorithms.WaitingGreedy{Tau: algorithms.TauStar(n)}, know, nil
+		alg, grant = algorithms.WaitingGreedy{Tau: algorithms.TauStar(n)}, knowledge.WithMeetTime(view, 0, cap)
 	case "full-knowledge":
-		know, err := knowledge.NewBundle(knowledge.WithFullSequence(view))
-		if err != nil {
-			return nil, nil, err
-		}
-		return algorithms.NewFullKnowledge(cap), know, nil
+		alg, grant = algorithms.NewFullKnowledge(cap), knowledge.WithFullSequence(view)
 	default:
 		return nil, nil, fmt.Errorf("sweep: unknown algorithm %q", name)
 	}
+	if view == nil {
+		return alg, nil, nil
+	}
+	know, err := knowledge.NewBundle(grant)
+	if err != nil {
+		return nil, nil, err
+	}
+	return alg, know, nil
 }
 
 // Options tunes one sweep execution.
@@ -245,7 +252,7 @@ func (r *runner) runCell(grid Grid, opt Options, cell Cell) (CellResult, error) 
 	// Replica seeds derive from the cell seed alone.
 	src := rng.New(cell.Seed)
 
-	fast := spec.Model != nil && !needsKnowledge(cell.Algorithm)
+	fast := spec.Model != nil && !needsSequence(cell.Algorithm)
 	var model scenario.Model
 	var alg core.Algorithm
 	if fast {
@@ -254,8 +261,8 @@ func (r *runner) runCell(grid Grid, opt Options, cell Cell) (CellResult, error) 
 		if err != nil {
 			return CellResult{}, err
 		}
-		// The knowledge-free algorithms are stateless across runs, so
-		// one instance serves every replica.
+		// Every fast-path algorithm is stateless across runs, so one
+		// instance serves every replica.
 		if alg, _, err = newAlgorithm(cell.Algorithm, model.N(), 1, nil); err != nil {
 			return CellResult{}, err
 		}
@@ -289,6 +296,15 @@ func (r *runner) runCell(grid Grid, opt Options, cell Cell) (CellResult, error) 
 				return CellResult{}, err
 			}
 			adv = gen
+			if cell.Algorithm == "waiting-greedy" {
+				// The oracle scans a second generator built from the
+				// same model and replica seed: the sequence the
+				// adversary plays, with nothing cached.
+				know, err = knowledge.NewBundle(knowledge.WithMeetTimeGen(n, model.Generator(rng.New(repSeed)), 0, cap))
+				if err != nil {
+					return CellResult{}, err
+				}
+			}
 		} else {
 			w, err := spec.Build(cell.N, repSeed, cell.Scenario.Params)
 			if err != nil {

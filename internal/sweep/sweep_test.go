@@ -125,9 +125,10 @@ func TestRunStreamsInCellOrder(t *testing.T) {
 	}
 }
 
-// TestRunKnowledgeAlgorithmFallback exercises the stream-backed slow path
-// (waiting-greedy needs the meetTime oracle, so cells cannot use the
-// generator fast path).
+// TestRunKnowledgeAlgorithmFallback exercises a knowledge algorithm on
+// the generator fast path: waiting-greedy's meetTime oracle scans a
+// second generator of the replica's sequence instead of a cached stream
+// (only full-knowledge cells still take the stream-backed path).
 func TestRunKnowledgeAlgorithmFallback(t *testing.T) {
 	results, totals, err := Run(Grid{
 		Scenarios:  []ScenarioRef{{Name: "uniform"}},
