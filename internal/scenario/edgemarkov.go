@@ -53,7 +53,6 @@ type emGen struct {
 	src        *rng.Source
 	pUp, pDown float64
 	pairs      []seq.Interaction // edge id -> endpoints
-	isLive     []bool            // edge id -> state
 	pos        []int             // edge id -> index in live or dead
 	live, dead []int             // edge ids by state
 	scratch    []int             // reused flip buffer
@@ -66,12 +65,11 @@ type emGen struct {
 func (m *EdgeMarkovian) Generator(src *rng.Source) func(t int) seq.Interaction {
 	edges := m.n * (m.n - 1) / 2
 	g := &emGen{
-		src:    src,
-		pUp:    m.pUp,
-		pDown:  m.pDown,
-		pairs:  make([]seq.Interaction, 0, edges),
-		isLive: make([]bool, edges),
-		pos:    make([]int, edges),
+		src:   src,
+		pUp:   m.pUp,
+		pDown: m.pDown,
+		pairs: make([]seq.Interaction, 0, edges),
+		pos:   make([]int, edges),
 	}
 	for u := 0; u < m.n; u++ {
 		for v := u + 1; v < m.n; v++ {
@@ -84,7 +82,6 @@ func (m *EdgeMarkovian) Generator(src *rng.Source) func(t int) seq.Interaction {
 	for id := 0; id < edges; id++ {
 		if next < len(born) && born[next] == id {
 			next++
-			g.isLive[id] = true
 			g.pos[id] = len(g.live)
 			g.live = append(g.live, id)
 		} else {
@@ -102,7 +99,6 @@ func (m *EdgeMarkovian) Generator(src *rng.Source) func(t int) seq.Interaction {
 			// birth probabilities O(1) per interaction.
 			id := g.dead[g.src.Intn(len(g.dead))]
 			g.remove(&g.dead, id)
-			g.isLive[id] = true
 			g.pos[id] = len(g.live)
 			g.live = append(g.live, id)
 		}
@@ -126,13 +122,11 @@ func (g *emGen) tick() {
 	}
 	for _, id := range g.ids[:deaths] {
 		g.remove(&g.live, id)
-		g.isLive[id] = false
 		g.pos[id] = len(g.dead)
 		g.dead = append(g.dead, id)
 	}
 	for _, id := range g.ids[deaths:] {
 		g.remove(&g.dead, id)
-		g.isLive[id] = true
 		g.pos[id] = len(g.live)
 		g.live = append(g.live, id)
 	}

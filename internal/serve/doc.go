@@ -6,6 +6,18 @@
 // queued, and applied asynchronously by one worker goroutine per
 // instance, which acknowledges completion through a Handle.
 //
+// # Ingest format
+//
+// An HTTP ingest body is JSONL: each non-empty line is one interaction,
+// a JSON object with integer "u" and "v" fields, read as encoding/json
+// reads it into a struct (key case, key order, whitespace and other keys
+// as encoding/json allows). The compact line serveclient writes,
+// {"u":3,"v":7} with at most 9 digits per id and no sign, leading zero
+// or whitespace, is parsed by hand; every other line goes to
+// encoding/json. So both paths accept the same lines, decode the same
+// values and report the same errors, which FuzzIngestLine checks
+// against encoding/json.
+//
 // # Durability contract
 //
 // Every instance owns a write-ahead log of internal/recordlog records

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +20,47 @@ type ingestLine struct {
 	V int `json:"v"`
 }
 
+// canonicalLine parses exactly the line {"u":D,"v":D} that serveclient
+// writes, where each D is 0 or a digit 1–9 followed by at most 8 more
+// digits. ok is false for any other line: a sign, a leading zero, an
+// exponent, a tenth digit, whitespace, another key or key order, or a
+// trailing byte. encoding/json reads every line canonicalLine takes to
+// the same values, so the handler sends only declined lines to it.
+func canonicalLine(line []byte) (u, v int, ok bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"u":`))
+	if !ok {
+		return 0, 0, false
+	}
+	if u, rest, ok = canonicalInt(rest); !ok {
+		return 0, 0, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"v":`)); !ok {
+		return 0, 0, false
+	}
+	if v, rest, ok = canonicalInt(rest); !ok || string(rest) != "}" {
+		return 0, 0, false
+	}
+	return u, v, true
+}
+
+// canonicalInt reads the integer D that starts b and returns the bytes
+// after it. It reads at most 9 digits, so it cannot overflow; a tenth
+// digit stays in rest, where canonicalLine's next expected byte
+// declines it.
+func canonicalInt(b []byte) (n int, rest []byte, ok bool) {
+	if len(b) == 0 || b[0] < '0' || b[0] > '9' {
+		return 0, b, false
+	}
+	if b[0] == '0' {
+		return 0, b[1:], true
+	}
+	i := 0
+	for ; i < len(b) && i < 9 && '0' <= b[i] && b[i] <= '9'; i++ {
+		n = n*10 + int(b[i]-'0')
+	}
+	return n, b[i:], true
+}
+
 // maxIngestBody bounds one ingest request (16 MiB of JSONL).
 const maxIngestBody = 16 << 20
 
@@ -30,8 +72,10 @@ const retryAfter = 1 * time.Second
 //	POST   /v1/instances              register (InstanceConfig JSON body)
 //	GET    /v1/instances/{name}       instance status
 //	DELETE /v1/instances/{name}       remove instance
-//	POST   /v1/instances/{name}/ingest JSONL {"u":..,"v":..} lines;
-//	       ?seq=N stamps the batch, ?wait=1 blocks until applied
+//	POST   /v1/instances/{name}/ingest JSONL lines, each a JSON object
+//	       with integer "u" and "v"; the compact {"u":3,"v":7} form is
+//	       decoded without encoding/json. ?seq=N stamps the batch,
+//	       ?wait=1 blocks until applied
 //	GET    /v1/instances/{name}/state  deterministic EngineState JSON
 //	GET    /v1/status                 all-instance snapshot
 //	GET    /healthz                   process liveness (always 200)
@@ -129,8 +173,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: ErrDraining.Error()})
 		return
 	}
+	query := r.URL.Query()
 	var seqNo uint64
-	if q := r.URL.Query().Get("seq"); q != "" {
+	if q := query.Get("seq"); q != "" {
 		var err error
 		seqNo, err = strconv.ParseUint(q, 10, 64)
 		if err != nil || seqNo == 0 {
@@ -140,18 +185,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	var its []seq.Interaction
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	// A nil buffer starts at the Scanner's 4 KiB and grows only for
+	// longer lines, up to the 1 MiB line limit.
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var rec ingestLine
-		if err := json.Unmarshal(line, &rec); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad ingest line %q: %v", line, err)})
-			return
+		u, v, ok := canonicalLine(line)
+		if !ok {
+			var rec ingestLine
+			if err := json.Unmarshal(line, &rec); err != nil {
+				writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad ingest line %q: %v", line, err)})
+				return
+			}
+			u, v = rec.U, rec.V
 		}
-		its = append(its, seq.Interaction{U: graph.NodeID(rec.U), V: graph.NodeID(rec.V)})
+		its = append(its, seq.Interaction{U: graph.NodeID(u), V: graph.NodeID(v)})
 	}
 	if err := sc.Err(); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -182,7 +233,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if r.URL.Query().Get("wait") != "" {
+	if query.Get("wait") != "" {
 		if err := h.Wait(r.Context()); err != nil {
 			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
 			return
