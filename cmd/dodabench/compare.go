@@ -20,14 +20,17 @@ import (
 // predates the section) and is skipped by the comparison.
 func trackedMetrics(rep *hotpathReport) map[string]float64 {
 	return map[string]float64{
-		"engine.ns_per_interaction":                rep.Engine.NsPerInteraction,
-		"engine_batched.ns_per_interaction":        rep.EngineBatched.NsPerInteraction,
-		"sim.ns_per_interaction":                   rep.Sim.NsPerInteraction,
-		"sim_sharded.ns_per_interaction":           rep.SimSharded.NsPerInteraction,
-		"alias_sampler.ns_per_draw":                rep.AliasSampler.NsPerDraw,
-		"weighted_gen.ns_per_draw":                 rep.WeightedGen.NsPerDraw,
-		"large_n.batched_count_ns_per_interaction": rep.LargeN.BatchedCountNs,
-		"sweep_knowledge.ns_per_interaction":       rep.SweepKnowledge.NsPerInteraction,
+		"engine.ns_per_interaction":                           rep.Engine.NsPerInteraction,
+		"engine_batched.ns_per_interaction":                   rep.EngineBatched.NsPerInteraction,
+		"sim.ns_per_interaction":                              rep.Sim.NsPerInteraction,
+		"sim_sharded.ns_per_interaction":                      rep.SimSharded.NsPerInteraction,
+		"alias_sampler.ns_per_draw":                           rep.AliasSampler.NsPerDraw,
+		"weighted_gen.ns_per_draw":                            rep.WeightedGen.NsPerDraw,
+		"large_n.batched_count_ns_per_interaction":            rep.LargeN.BatchedCountNs,
+		"sweep_knowledge.ns_per_interaction":                  rep.SweepKnowledge.NsPerInteraction,
+		"scenario_gen.edge_markovian_n64_ns_per_interaction":  rep.ScenarioGen.EdgeMarkovianN64Ns,
+		"scenario_gen.edge_markovian_n128_ns_per_interaction": rep.ScenarioGen.EdgeMarkovianN128Ns,
+		"scenario_gen.churn_uniform_n64_ns_per_interaction":   rep.ScenarioGen.ChurnUniformN64Ns,
 		// The no-WAL configuration isolates admission+queue+apply cost;
 		// the durable figures (fsync-bound) are recorded but not gated.
 		"serve_load.ephemeral_ns_per_op": rep.ServeLoad.EphemeralNsPerOp,
@@ -68,7 +71,7 @@ func compareBaseline(rep *hotpathReport, path string, tolerance float64, w io.Wr
 	for _, name := range names {
 		bv, nv := baseM[name], newM[name]
 		if bv <= 0 || nv <= 0 {
-			fmt.Fprintf(w, "  %-44s (skipped: metric missing)\n", name)
+			fmt.Fprintf(w, "  %-52s (skipped: metric missing)\n", name)
 			continue
 		}
 		nv *= scale
@@ -78,7 +81,7 @@ func compareBaseline(rep *hotpathReport, path string, tolerance float64, w io.Wr
 			verdict = "REGRESSION"
 			regressions = append(regressions, fmt.Sprintf("%s %+.1f%%", name, delta*100))
 		}
-		fmt.Fprintf(w, "  %-44s %9.2f -> %9.2f ns  (%+6.1f%%)  %s\n", name, bv, nv, delta*100, verdict)
+		fmt.Fprintf(w, "  %-52s %9.2f -> %9.2f ns  (%+6.1f%%)  %s\n", name, bv, nv, delta*100, verdict)
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("%d tracked metric(s) regressed more than %.0f%%: %s",
@@ -104,7 +107,7 @@ func checkDensityGate(rep, base *hotpathReport, tolerance float64, w io.Writer) 
 	bv, nv := base.ServeDensity.BytesPerInstance, rep.ServeDensity.BytesPerInstance
 	const name = "serve_density.bytes_per_instance"
 	if bv <= 0 || nv <= 0 {
-		fmt.Fprintf(w, "  %-44s (skipped: metric missing)\n", name)
+		fmt.Fprintf(w, "  %-52s (skipped: metric missing)\n", name)
 		return nil
 	}
 	delta := nv/bv - 1
@@ -112,7 +115,7 @@ func checkDensityGate(rep, base *hotpathReport, tolerance float64, w io.Writer) 
 	if delta > tolerance {
 		verdict = "REGRESSION"
 	}
-	fmt.Fprintf(w, "  %-44s %9.0f -> %9.0f B/instance  (%+6.1f%%)  %s\n", name, bv, nv, delta*100, verdict)
+	fmt.Fprintf(w, "  %-52s %9.0f -> %9.0f B/instance  (%+6.1f%%)  %s\n", name, bv, nv, delta*100, verdict)
 	if delta > tolerance {
 		return fmt.Errorf("%s regressed %+.1f%% (%.0f -> %.0f bytes/instance, %d instances under live cap %d)",
 			name, delta*100, bv, nv, rep.ServeDensity.Instances, rep.ServeDensity.LiveCap)
@@ -130,14 +133,14 @@ const progressOverheadMax = 0.02
 func checkProgressOverhead(rep *hotpathReport, w io.Writer) error {
 	o := rep.SweepProgress
 	if o.Trials == 0 {
-		fmt.Fprintf(w, "  %-44s (skipped: section missing)\n", "sweep_progress_overhead.overhead_frac")
+		fmt.Fprintf(w, "  %-52s (skipped: section missing)\n", "sweep_progress_overhead.overhead_frac")
 		return nil
 	}
 	verdict := "ok"
 	if o.OverheadFrac > progressOverheadMax {
 		verdict = "REGRESSION"
 	}
-	fmt.Fprintf(w, "  %-44s %+9.2f%% of sweep throughput (ceiling %+.0f%%)  %s\n",
+	fmt.Fprintf(w, "  %-52s %+9.2f%% of sweep throughput (ceiling %+.0f%%)  %s\n",
 		"sweep_progress_overhead.overhead_frac", o.OverheadFrac*100, progressOverheadMax*100, verdict)
 	if o.OverheadFrac > progressOverheadMax {
 		return fmt.Errorf("progress instrumentation costs %.1f%% of sweep throughput, ceiling is %.0f%% (base %.1fms vs instrumented %.1fms over %d cells)",
@@ -169,7 +172,7 @@ func checkAllocGates(rep *hotpathReport, w io.Writer) error {
 	var failures []string
 	for _, s := range sections {
 		if s.m.Runs == 0 {
-			fmt.Fprintf(w, "  %-44s (skipped: section missing)\n", s.name+".allocs_per_run")
+			fmt.Fprintf(w, "  %-52s (skipped: section missing)\n", s.name+".allocs_per_run")
 			continue
 		}
 		verdict := "ok"
@@ -177,7 +180,7 @@ func checkAllocGates(rep *hotpathReport, w io.Writer) error {
 			verdict = "REGRESSION"
 			failures = append(failures, fmt.Sprintf("%s %.1f allocs/run", s.name, s.m.AllocsPerRun))
 		}
-		fmt.Fprintf(w, "  %-44s %9.2f allocs/run (ceiling %.1f)  %s\n",
+		fmt.Fprintf(w, "  %-52s %9.2f allocs/run (ceiling %.1f)  %s\n",
 			s.name+".allocs_per_run", s.m.AllocsPerRun, allocsPerRunMax, verdict)
 	}
 	if len(failures) > 0 {
@@ -199,14 +202,14 @@ func checkSweepKnowledgeBytes(rep *hotpathReport, w io.Writer) error {
 	const name = "sweep_knowledge.bytes_per_replica"
 	k := rep.SweepKnowledge
 	if k.Replicas == 0 {
-		fmt.Fprintf(w, "  %-44s (skipped: section missing)\n", name)
+		fmt.Fprintf(w, "  %-52s (skipped: section missing)\n", name)
 		return nil
 	}
 	verdict := "ok"
 	if k.BytesPerReplica > sweepKnowledgeBytesMax {
 		verdict = "REGRESSION"
 	}
-	fmt.Fprintf(w, "  %-44s %9.0f B/replica (ceiling %d)  %s\n", name, k.BytesPerReplica, sweepKnowledgeBytesMax, verdict)
+	fmt.Fprintf(w, "  %-52s %9.0f B/replica (ceiling %d)  %s\n", name, k.BytesPerReplica, sweepKnowledgeBytesMax, verdict)
 	if k.BytesPerReplica > sweepKnowledgeBytesMax {
 		return fmt.Errorf("%s is %.0f B, ceiling is %d B (uniform waiting-greedy, n=%d, %d replicas)",
 			name, k.BytesPerReplica, sweepKnowledgeBytesMax, k.N, k.Replicas)

@@ -4,13 +4,14 @@ package main
 // file BENCH_hotpath.json records ns/op and allocs/op for the engine's
 // steady-state interaction loop (scalar and batched), the concurrent
 // runtime, the alias sampler, the large-n engine configurations, the
-// sweep engine's whole-fleet throughput and its waiting-greedy cells, so
-// future changes have a baseline to compare against (see compare.go for
-// the regression guard).
+// sweep engine's whole-fleet throughput and its waiting-greedy cells, and
+// the scenario generators, so future changes have a baseline to compare
+// against (see compare.go for the regression guard).
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,6 +22,7 @@ import (
 	"doda/internal/algorithms"
 	"doda/internal/core"
 	"doda/internal/rng"
+	"doda/internal/scenario"
 	"doda/internal/seq"
 	"doda/internal/sim"
 	"doda/internal/sweep"
@@ -108,6 +110,23 @@ type sweepKnowledgeReport struct {
 	BytesPerReplica  float64 `json:"bytes_per_replica"`
 }
 
+// scenarioGenReport times the scenario generators experiment S1 sweeps,
+// per generated interaction: edge-Markovian at n=64 and n=128 and churn
+// over uniform contacts at n=64, each the fastest of repeated runs of at
+// least a second. The edge-Markovian figures are dominated by the
+// per-tick Bernoulli flips of every potential edge, churn's by its
+// per-node availability flips and the inner draws they reject. The ns
+// figures are regression-guarded like the engine's.
+type scenarioGenReport struct {
+	PUp                 float64 `json:"p_up"`
+	PDown               float64 `json:"p_down"`
+	PFail               float64 `json:"p_fail"`
+	PRecover            float64 `json:"p_recover"`
+	EdgeMarkovianN64Ns  float64 `json:"edge_markovian_n64_ns_per_interaction"`
+	EdgeMarkovianN128Ns float64 `json:"edge_markovian_n128_ns_per_interaction"`
+	ChurnUniformN64Ns   float64 `json:"churn_uniform_n64_ns_per_interaction"`
+}
+
 // hotpathReport is the BENCH_hotpath.json document. CalibrationNs is a
 // fixed pure-CPU reference loop (rng.Uint64) measured alongside the
 // tracked metrics: the regression guard divides out the ratio of the two
@@ -127,6 +146,7 @@ type hotpathReport struct {
 	SweepLargeN    sweepLargeNReport     `json:"sweep_large_n"`
 	SweepProgress  sweepProgressOverhead `json:"sweep_progress_overhead"`
 	SweepKnowledge sweepKnowledgeReport  `json:"sweep_knowledge"`
+	ScenarioGen    scenarioGenReport     `json:"scenario_gen"`
 	ServeLoad      serveLoadReport       `json:"serve_load"`
 	ServeDensity   serveDensityReport    `json:"serve_density"`
 }
@@ -546,6 +566,52 @@ func benchSweepKnowledge() (sweepKnowledgeReport, error) {
 	return rep, nil
 }
 
+// benchScenarioGen fills the scenario_gen section: S1's edge-Markovian
+// (p-up 0.05, p-down 0.2) and churn (p-fail 0.1, p-recover 0.1)
+// parameters.
+func benchScenarioGen() (scenarioGenReport, error) {
+	rep := scenarioGenReport{PUp: 0.05, PDown: 0.2, PFail: 0.1, PRecover: 0.1}
+	em64, err := scenario.NewEdgeMarkovian(64, rep.PUp, rep.PDown)
+	if err != nil {
+		return rep, err
+	}
+	em128, err := scenario.NewEdgeMarkovian(128, rep.PUp, rep.PDown)
+	if err != nil {
+		return rep, err
+	}
+	uni, err := scenario.NewUniform(64)
+	if err != nil {
+		return rep, err
+	}
+	churn, err := scenario.NewChurn(uni, rep.PFail, rep.PRecover)
+	if err != nil {
+		return rep, err
+	}
+	rep.EdgeMarkovianN64Ns = genNs(em64)
+	rep.EdgeMarkovianN128Ns = genNs(em128)
+	rep.ChurnUniformN64Ns = genNs(churn)
+	return rep, nil
+}
+
+// genNs times one interaction of a fresh generator of m: the fastest of
+// three testing.Benchmark runs, each at least a second long. On a shared
+// host a whole run can read slow; the fastest is the figure that
+// repeats.
+func genNs(m scenario.Model) float64 {
+	best := math.Inf(1)
+	for trial := 0; trial < 3; trial++ {
+		res := testing.Benchmark(func(b *testing.B) {
+			gen := m.Generator(rng.New(1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gen(i)
+			}
+		})
+		best = min(best, float64(res.T.Nanoseconds())/float64(res.N))
+	}
+	return best
+}
+
 // benchCalibration times the reference loop: one xoshiro draw, a hot
 // pure-CPU operation no perf PR is likely to touch.
 func benchCalibration() float64 {
@@ -598,6 +664,9 @@ func collectHotpath() (*hotpathReport, error) {
 	}
 	if rep.SweepKnowledge, err = benchSweepKnowledge(); err != nil {
 		return nil, fmt.Errorf("knowledge sweep benchmark: %w", err)
+	}
+	if rep.ScenarioGen, err = benchScenarioGen(); err != nil {
+		return nil, fmt.Errorf("scenario generator benchmark: %w", err)
 	}
 	if rep.ServeLoad, err = benchServeLoad(); err != nil {
 		return nil, fmt.Errorf("serve load benchmark: %w", err)

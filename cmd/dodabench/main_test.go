@@ -120,6 +120,9 @@ func TestHotpathJSON(t *testing.T) {
 		rep.ServeLoad.DurableP99Ms < rep.ServeLoad.DurableP50Ms {
 		t.Errorf("serve-load section bad: %+v", rep.ServeLoad)
 	}
+	if g := rep.ScenarioGen; g.EdgeMarkovianN64Ns <= 0 || g.EdgeMarkovianN128Ns <= 0 || g.ChurnUniformN64Ns <= 0 {
+		t.Errorf("scenario-gen section bad: %+v", g)
+	}
 	t.Logf("sweep_progress_overhead: %+v", rep.SweepProgress)
 	t.Logf("serve_load: %+v", rep.ServeLoad)
 }
@@ -285,6 +288,79 @@ func TestSweepKnowledgeBytesGate(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "sweep_knowledge.bytes_per_replica") || !strings.Contains(out.String(), "skipped") {
 		t.Errorf("missing section not reported as skipped:\n%s", out.String())
+	}
+}
+
+// TestScenarioGenGuard checks that the scenario_gen section is written
+// under its keys, that the committed baseline carries it, and that the
+// regression guard compares each of its generators: a generator more
+// than the tolerance slower fails, naming the figure.
+func TestScenarioGenGuard(t *testing.T) {
+	dir := t.TempDir()
+	base := hotpathReport{}
+	base.ScenarioGen = scenarioGenReport{PUp: 0.05, PDown: 0.2, PFail: 0.1, PRecover: 0.1,
+		EdgeMarkovianN64Ns: 2000, EdgeMarkovianN128Ns: 10000, ChurnUniformN64Ns: 300}
+	basePath := filepath.Join(dir, "base.json")
+	if err := writeReportJSON(&base, basePath); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{
+		"scenario_gen.edge_markovian_n64_ns_per_interaction",
+		"scenario_gen.edge_markovian_n128_ns_per_interaction",
+		"scenario_gen.churn_uniform_n64_ns_per_interaction",
+	}
+	for _, name := range names {
+		key := `"` + strings.TrimPrefix(name, "scenario_gen.") + `"`
+		if !strings.Contains(string(raw), `"scenario_gen": {`) || !strings.Contains(string(raw), key) {
+			t.Errorf("report lacks %s:\n%s", name, raw)
+		}
+	}
+
+	committed, err := os.ReadFile(filepath.Join("..", "..", "BENCH_hotpath.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep hotpathReport
+	if err := json.Unmarshal(committed, &rep); err != nil {
+		t.Fatal(err)
+	}
+	tracked := trackedMetrics(&rep)
+	for _, name := range names {
+		if tracked[name] <= 0 {
+			t.Errorf("committed baseline does not gate %s", name)
+		}
+	}
+
+	fresh := base
+	fresh.ScenarioGen.EdgeMarkovianN128Ns = 11000 // +10%: inside tolerance
+	var out strings.Builder
+	if err := compareBaseline(&fresh, basePath, 0.25, &out); err != nil {
+		t.Errorf("within-tolerance report failed: %v\n%s", err, out.String())
+	}
+	for _, name := range names {
+		if !strings.Contains(out.String(), name) {
+			t.Errorf("guard output does not compare %s:\n%s", name, out.String())
+		}
+	}
+	for i, name := range names {
+		slow := base
+		switch i {
+		case 0:
+			slow.ScenarioGen.EdgeMarkovianN64Ns *= 1.5
+		case 1:
+			slow.ScenarioGen.EdgeMarkovianN128Ns *= 1.5
+		case 2:
+			slow.ScenarioGen.ChurnUniformN64Ns *= 1.5
+		}
+		out.Reset()
+		err := compareBaseline(&slow, basePath, 0.25, &out)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("50%% slower %s passed the guard: %v\n%s", name, err, out.String())
+		}
 	}
 }
 

@@ -61,6 +61,7 @@ func (m *Churn) Generator(src *rng.Source) func(t int) seq.Interaction {
 		up[u] = u
 		pos[u] = u
 	}
+	failSkip, recoverSkip := geomSkipFor(m.pFail), geomSkipFor(m.pRecover)
 	var scratch, flips []int
 	move := func(from *[]int, to *[]int, id int) {
 		s := *from
@@ -73,12 +74,12 @@ func (m *Churn) Generator(src *rng.Source) func(t int) seq.Interaction {
 	}
 	tick := func() {
 		flips = flips[:0]
-		scratch = bernoulliIndices(src, len(up), m.pFail, scratch[:0])
+		scratch = failSkip.indices(src, len(up), scratch[:0])
 		for _, i := range scratch {
 			flips = append(flips, up[i])
 		}
 		fails := len(flips)
-		scratch = bernoulliIndices(src, len(down), m.pRecover, scratch[:0])
+		scratch = recoverSkip.indices(src, len(down), scratch[:0])
 		for _, i := range scratch {
 			flips = append(flips, down[i])
 		}

@@ -17,6 +17,27 @@
 // the sweep layer can re-run any single cell of a grid in isolation and
 // get the identical sequence.
 //
+// # Geometric skipping
+//
+// The edge-Markovian and churn models flip every edge or node chain once
+// per tick, so they draw Bernoulli trials by geometric skipping: one
+// draw per success instead of one per trial. The skip K is the float
+// path's floor(log(u)/log1p(-p)) for u = 1 - r/2⁵³, r the top 53 bits of
+// one Uint64, and a table answers it for most draws without math.Log
+// (geomskip.go). The table is exact by construction, not by tolerance:
+// it answers only draws more than a guard band of 16 draws away from
+// every step of K and every bucket end, where a few ulps of error in
+// math.Log and the divide, worth at most about one draw, cannot change
+// the floor. Every other draw, every bucket holding two or more steps,
+// and every probability below 2⁻¹³ takes the float path, and either way
+// each trial makes exactly one Uint64 draw, so sequences are bit-for-bit
+// those of the float path alone. A table takes 25–260 µs to build and
+// holds 64 KiB, while a model costs nanoseconds and is built once just
+// to validate a grid's parameters, so tables are built lazily, on the
+// first generator that needs one, and shared through a bounded
+// process-wide cache keyed by p: once per distinct probability, never
+// per model or replica.
+//
 // # Contract with the execution stack
 //
 // A Model is a generator of interactions that plugs into the existing

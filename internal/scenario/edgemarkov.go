@@ -51,7 +51,7 @@ func (m *EdgeMarkovian) N() int { return m.n }
 // emGen is the mutable chain state of one generated sequence.
 type emGen struct {
 	src        *rng.Source
-	pUp, pDown float64
+	up, down   *geomSkip         // birth and death skips
 	pairs      []seq.Interaction // edge id -> endpoints
 	pos        []int             // edge id -> index in live or dead
 	live, dead []int             // edge ids by state
@@ -66,8 +66,8 @@ func (m *EdgeMarkovian) Generator(src *rng.Source) func(t int) seq.Interaction {
 	edges := m.n * (m.n - 1) / 2
 	g := &emGen{
 		src:   src,
-		pUp:   m.pUp,
-		pDown: m.pDown,
+		up:    geomSkipFor(m.pUp),
+		down:  geomSkipFor(m.pDown),
 		pairs: make([]seq.Interaction, 0, edges),
 		pos:   make([]int, edges),
 	}
@@ -111,12 +111,12 @@ func (m *EdgeMarkovian) Generator(src *rng.Source) func(t int) seq.Interaction {
 // state at the start of the step.
 func (g *emGen) tick() {
 	g.ids = g.ids[:0]
-	g.scratch = bernoulliIndices(g.src, len(g.live), g.pDown, g.scratch[:0])
+	g.scratch = g.down.indices(g.src, len(g.live), g.scratch[:0])
 	for _, i := range g.scratch {
 		g.ids = append(g.ids, g.live[i])
 	}
 	deaths := len(g.ids)
-	g.scratch = bernoulliIndices(g.src, len(g.dead), g.pUp, g.scratch[:0])
+	g.scratch = g.up.indices(g.src, len(g.dead), g.scratch[:0])
 	for _, i := range g.scratch {
 		g.ids = append(g.ids, g.dead[i])
 	}

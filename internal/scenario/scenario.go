@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 
 	"doda/internal/adversary"
 	"doda/internal/core"
@@ -52,34 +51,9 @@ func Adversary(m Model, seed uint64) (core.Adversary, *seq.Stream, error) {
 // bernoulliIndices appends to out the indices i in [0, m) of an i.i.d.
 // Bernoulli(p) trial sequence that came up true, using geometric skipping:
 // expected cost O(1 + m·p) draws instead of m, which keeps per-tick edge
-// and availability updates cheap when flip probabilities are small.
+// and availability updates cheap when flip probabilities are small. The
+// skips come from p's shared geomSkip table; generators that flip every
+// tick look the table up once and call its indices method instead.
 func bernoulliIndices(src *rng.Source, m int, p float64, out []int) []int {
-	switch {
-	case m <= 0 || p <= 0:
-		return out
-	case p >= 1:
-		for i := 0; i < m; i++ {
-			out = append(out, i)
-		}
-		return out
-	}
-	// Skip to the next success: K ~ Geometric(p) failures first, i.e.
-	// K = floor(log(U) / log(1-p)) for U uniform in (0, 1].
-	logq := math.Log1p(-p)
-	i := 0
-	for {
-		u := 1 - src.Float64() // (0, 1]: avoids log(0)
-		// Compare in float space before converting: for tiny p the skip
-		// can exceed MaxInt64, and float-to-int overflow is undefined.
-		skip := math.Log(u) / logq
-		if skip >= float64(m-i) {
-			return out
-		}
-		i += int(skip)
-		if i >= m {
-			return out
-		}
-		out = append(out, i)
-		i++
-	}
+	return geomSkipFor(p).indices(src, m, out)
 }

@@ -116,6 +116,12 @@ type errorBody struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
+// ingestAck is the 202 answer to an ingest: how many interactions the
+// body held.
+type ingestAck struct {
+	Ops int `json:"ops"`
+}
+
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var cfg InstanceConfig
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&cfg); err != nil {
@@ -239,7 +245,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"ops": len(its)})
+	writeJSON(w, http.StatusAccepted, ingestAck{Ops: len(its)})
 }
 
 // handleState serves the deterministic engine snapshot the recovery
