@@ -16,7 +16,21 @@
 // or whitespace, is parsed by hand; every other line goes to
 // encoding/json. So both paths accept the same lines, decode the same
 // values and report the same errors, which FuzzIngestLine checks
-// against encoding/json.
+// against encoding/json. Any non-empty ?wait= value makes the request
+// wait until its batch is applied.
+//
+// # Buffers
+//
+// The HTTP handler owns the slice an ingest body decodes into. It takes
+// the slice and the Scanner's line buffer from a pool, and gives the line
+// buffer back when it returns. The slice goes back only after a waited
+// ingest's batch was applied and acknowledged: by then the worker has
+// dropped it, a WAL rotation re-journals only batches still queued, and
+// a duplicate was never queued. An unwaited ingest, or one that fails,
+// leaves its slice to the garbage collector, since its batch may still
+// be queued; so does one grown past 65,536 interactions. In-process
+// callers of Ingest and TryIngest keep their own slices: the server
+// never reuses them.
 //
 // # Durability contract
 //

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"doda/internal/graph"
@@ -64,6 +65,28 @@ func canonicalInt(b []byte) (n int, rest []byte, ok bool) {
 // maxIngestBody bounds one ingest request (16 MiB of JSONL).
 const maxIngestBody = 16 << 20
 
+// maxIngestLine bounds one ingest line; a longer one is a 400.
+const maxIngestLine = 1 << 20
+
+// maxPooledBatch is the largest batch capacity ingestPool keeps, so
+// one huge body does not stay pinned in it.
+const maxPooledBatch = 1 << 16
+
+// ingestBufs is one HTTP ingest's decode memory: the Scanner's first
+// line buffer and the slice the lines decode into.
+type ingestBufs struct {
+	line []byte
+	its  []seq.Interaction
+}
+
+// ingestPool recycles ingestBufs across HTTP ingests. The line buffer
+// goes back when the handler returns; the batch slice only after a
+// waited ingest was applied, when no queue entry, worker or rotation
+// still refers to it.
+var ingestPool = sync.Pool{New: func() any {
+	return &ingestBufs{line: make([]byte, 4096)}
+}}
+
 // retryAfter is the client back-off hint sent with 429 responses.
 const retryAfter = 1 * time.Second
 
@@ -74,8 +97,8 @@ const retryAfter = 1 * time.Second
 //	DELETE /v1/instances/{name}       remove instance
 //	POST   /v1/instances/{name}/ingest JSONL lines, each a JSON object
 //	       with integer "u" and "v"; the compact {"u":3,"v":7} form is
-//	       decoded without encoding/json. ?seq=N stamps the batch,
-//	       ?wait=1 blocks until applied
+//	       decoded without encoding/json. ?seq=N stamps the batch;
+//	       any non-empty ?wait= value (wait=1) blocks until applied
 //	GET    /v1/instances/{name}/state  deterministic EngineState JSON
 //	GET    /v1/status                 all-instance snapshot
 //	GET    /healthz                   process liveness (always 200)
@@ -116,10 +139,14 @@ type errorBody struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
-// ingestAck is the 202 answer to an ingest: how many interactions the
-// body held.
-type ingestAck struct {
-	Ops int `json:"ops"`
+// writeAck writes the 202 answer to an ingest, {"ops":N} with N the
+// interactions the body held, in the bytes writeJSON would write. It
+// builds the body in buf's memory; 32 bytes hold any N.
+func writeAck(w http.ResponseWriter, buf []byte, ops int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	body := strconv.AppendInt(append(buf[:0], `{"ops":`...), int64(ops), 10)
+	w.Write(append(body, "}\n"...))
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -189,11 +216,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var its []seq.Interaction
+	bufs := ingestPool.Get().(*ingestBufs)
+	its := bufs.its[:0]
+	applied := false
+	defer func() {
+		bufs.its = nil // an unapplied batch may still be queued
+		if applied && cap(its) <= maxPooledBatch {
+			bufs.its = its[:0]
+		}
+		ingestPool.Put(bufs)
+	}()
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	// A nil buffer starts at the Scanner's 4 KiB and grows only for
-	// longer lines, up to the 1 MiB line limit.
-	sc.Buffer(nil, 1<<20)
+	// The pooled 4 KiB buffer grows only for longer lines, up to the
+	// line limit; a grown buffer is not kept.
+	sc.Buffer(bufs.line, maxIngestLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -244,8 +280,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
 			return
 		}
+		// The worker has applied the batch and dropped it, or it was a
+		// duplicate that never queued: the slice may be reused.
+		applied = true
 	}
-	writeJSON(w, http.StatusAccepted, ingestAck{Ops: len(its)})
+	writeAck(w, bufs.line, len(its))
 }
 
 // handleState serves the deterministic engine snapshot the recovery

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"doda/internal/rng"
@@ -88,13 +91,16 @@ func FuzzIngestLine(f *testing.F) {
 	})
 }
 
-// TestIngestResponsesUnchanged pins the ingest answers, status and body
-// bytes, for lines at the edge of the compact form; each is the answer
-// decoding every line with encoding/json gives. A 202 must also have
-// decoded what encoding/json decodes: the instance's state must equal a
-// twin's that was fed json.Unmarshal's reading of the body in process.
+// TestIngestResponsesUnchanged pins the ingest answers, status,
+// Content-Type and body bytes, for lines at the edge of the compact
+// form; each is the answer decoding every line with encoding/json gives.
+// A 202 must also have decoded what encoding/json decodes: the
+// instance's state must equal a twin's that was fed json.Unmarshal's
+// reading of the body in process.
 func TestIngestResponsesUnchanged(t *testing.T) {
 	long := `{"u":1,"v":2` + strings.Repeat(" ", 1<<20) + `}`
+	// Every answer, 202 and 400 alike, carries this one Content-Type.
+	const ctype = "application/json"
 	for _, c := range []struct {
 		line string // the body, without its final newline
 		code int
@@ -131,6 +137,9 @@ func TestIngestResponsesUnchanged(t *testing.T) {
 			t.Errorf("%q: %d %q, want %d %q", label, rec.Code, rec.Body, c.code, c.resp+"\n")
 			continue
 		}
+		if got := rec.Header().Values("Content-Type"); len(got) != 1 || got[0] != ctype {
+			t.Errorf("%q: Content-Type %q, want [%q]", label, got, ctype)
+		}
 		if c.code != http.StatusAccepted {
 			continue
 		}
@@ -156,13 +165,15 @@ func TestIngestResponsesUnchanged(t *testing.T) {
 // 256-line compact body, stamped and waited, on an ephemeral waiting
 // instance that never terminates. Every line decoded through
 // encoding/json costs several allocations (over 1,300 per request), so
-// any per-line allocation fails the gate; the count does not depend on
-// the host.
+// any per-line allocation fails the count; a batch slice or Scanner
+// buffer made per request (8.7 KB and 4 KiB) fails the bytes bound.
+// Neither figure depends on the host.
 func TestIngestHandlerAllocs(t *testing.T) {
 	const (
-		n    = 256
-		runs = 20
-		max  = 100
+		n        = 256
+		runs     = 20
+		max      = 17
+		maxBytes = 4 << 10
 	)
 	s := newTestServer(t, Options{})
 	inst := mustRegister(t, s, InstanceConfig{Name: "w", N: n, Algorithm: "waiting"})
@@ -178,11 +189,26 @@ func TestIngestHandlerAllocs(t *testing.T) {
 		reqs[i] = httptest.NewRequest(http.MethodPost, fmt.Sprintf("/v1/instances/w/ingest?seq=%d&wait=1", i+1), bytes.NewReader(body))
 		recs[i] = httptest.NewRecorder()
 	}
+	var before, after runtime.MemStats
 	i := 0
 	allocs := testing.AllocsPerRun(runs, func() {
+		switch {
+		case i == 0 && raceEnabled:
+			// The race detector's sync.Pool drops a quarter of all Puts,
+			// so a recycled buffer set can vanish between two requests.
+			// Stock the pool, on the one P AllocsPerRun leaves, with
+			// more sets than the runs can lose; without -race the
+			// handler's own recycling must carry every run.
+			for k := 0; k < 4*(runs+1); k++ {
+				ingestPool.Put(&ingestBufs{line: make([]byte, 4096), its: make([]seq.Interaction, 0, n)})
+			}
+		case i == 1:
+			runtime.ReadMemStats(&before)
+		}
 		h.ServeHTTP(recs[i], reqs[i])
 		i++
 	})
+	runtime.ReadMemStats(&after)
 	for i, rec := range recs {
 		if rec.Code != http.StatusAccepted {
 			t.Fatalf("request %d: %d %s", i+1, rec.Code, rec.Body)
@@ -191,8 +217,161 @@ func TestIngestHandlerAllocs(t *testing.T) {
 	if st := inst.Status(); st.AppliedOps != (runs+1)*256 {
 		t.Fatalf("applied_ops = %d, want %d", st.AppliedOps, (runs+1)*256)
 	}
-	t.Logf("%.0f allocs per 256-line ingest", allocs)
+	perReq := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocs and %d B per 256-line ingest", allocs, perReq)
 	if allocs > max {
 		t.Fatalf("%.0f allocs per 256-line ingest, want at most %d", allocs, max)
+	}
+	if perReq > maxBytes {
+		t.Fatalf("%d B allocated per 256-line ingest, want at most %d", perReq, maxBytes)
+	}
+}
+
+// stampedBatch is batch seqNo of instance i: size off-sink interactions
+// among n nodes, one of them replaced by a meeting of the sink with a
+// node that names (i, seqNo). A waiting instance hands that node's datum
+// to the sink, so a batch applied in place of another leaves a different
+// owner set, and the state shows it. Every seventh line is spaced, so
+// both decode paths fill the slice.
+func stampedBatch(n, size, i int, seqNo uint64) ([]seq.Interaction, []byte) {
+	its := offSinkBatch(n, size, uint64(i)<<32|seqNo)
+	its[int(seqNo)%size] = it(0, 1+(2*int(seqNo)+i)%(n-1))
+	var body []byte
+	for k, x := range its {
+		if k%7 == 0 {
+			body = fmt.Appendf(body, "{\"v\": %d, \"u\": %d}\n", x.V, x.U)
+		} else {
+			body = fmt.Appendf(body, "{\"u\":%d,\"v\":%d}\n", x.U, x.V)
+		}
+	}
+	return its, body
+}
+
+// TestIngestRecycledBatchesStayIntact checks that recycling the
+// handler's decode slices never changes what an instance applies or
+// journals. Four goroutines post stamped batches to two instances
+// through Handler(), waited and unwaited mixed, and some waited ones
+// queue behind a 4,096-interaction batch with their context cancelled
+// before the apply, so their answer is a 409 while the batch stays
+// queued. Every final state must equal a twin's that was fed the same
+// batches in process. On a durable server that rotates every 64
+// interactions, each rotation re-journals the queued batches while
+// waited ones recycle, and the state must also survive Close and reopen.
+func TestIngestRecycledBatchesStayIntact(t *testing.T) {
+	const (
+		n         = 256
+		instances = 2
+		posters   = 4
+		posts     = 24 // per poster
+	)
+	for _, name := range []string{"ephemeral", "durable"} {
+		durable := name == "durable"
+		t.Run(name, func(t *testing.T) {
+			opt := Options{MaxPending: 1 << 16}
+			if durable {
+				opt.Dir, opt.SnapshotEvery = t.TempDir(), 64
+			}
+			s, err := NewServer(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { s.Close() }()
+			h := s.Handler()
+			type stream struct {
+				mu   sync.Mutex
+				sent [][]seq.Interaction // sent[k] went out at seq k+1
+			}
+			streams := make([]*stream, instances)
+			for i := range streams {
+				streams[i] = &stream{}
+				mustRegister(t, s, waitCfg(fmt.Sprintf("i%d", i), n))
+			}
+			// post sends the next batch of instance i; the caller holds its
+			// stream's lock, so each instance sees its seqs in order.
+			post := func(ctx context.Context, i, size int, wait bool) *httptest.ResponseRecorder {
+				st := streams[i]
+				seqNo := uint64(len(st.sent) + 1)
+				its, body := stampedBatch(n, size, i, seqNo)
+				target := fmt.Sprintf("/v1/instances/i%d/ingest?seq=%d", i, seqNo)
+				if wait {
+					target += "&wait=1"
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body)).WithContext(ctx))
+				if rec.Code == http.StatusAccepted || rec.Code == http.StatusConflict {
+					st.sent = append(st.sent, its) // a 409 here is a cancelled wait: queued all the same
+				}
+				return rec
+			}
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			var wg sync.WaitGroup
+			for g := 0; g < posters; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for k := 0; k < posts; k++ {
+						i := (g + k) % instances
+						st := streams[i]
+						st.mu.Lock()
+						if k%8 == 5 {
+							// Queue a batch the worker takes a while to apply, then
+							// a waited one whose client is already gone. Should the
+							// worker win the race anyway, the ack is a 202; try again.
+							for try := 0; ; try++ {
+								if rec := post(context.Background(), i, 4096, false); rec.Code != http.StatusAccepted {
+									t.Errorf("i%d: large unwaited batch: %d %s", i, rec.Code, rec.Body)
+									break
+								}
+								rec := post(cancelled, i, 256, true)
+								if rec.Code == http.StatusConflict && strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+									break
+								}
+								if rec.Code != http.StatusAccepted || try == 9 {
+									t.Errorf("i%d: cancelled wait: %d %s, want a 409 %q", i, rec.Code, rec.Body, context.Canceled)
+									break
+								}
+							}
+						} else if rec := post(context.Background(), i, 256, (g+k)%3 != 0); rec.Code != http.StatusAccepted {
+							t.Errorf("i%d: %d %s", i, rec.Code, rec.Body)
+						}
+						st.mu.Unlock()
+					}
+				}(g)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+
+			ref := newTestServer(t, Options{MaxPending: 1 << 16})
+			want := make([][]byte, instances)
+			for i, st := range streams {
+				twin := mustRegister(t, ref, waitCfg(fmt.Sprintf("i%d", i), n))
+				for k, its := range st.sent {
+					feedSeq(t, twin, its, uint64(k+1))
+				}
+				want[i] = append(mustState(t, twin), '\n')
+			}
+			check := func(h http.Handler, when string) {
+				t.Helper()
+				for i := range streams {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/instances/i%d/state", i), nil))
+					if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want[i]) {
+						t.Errorf("%s: i%d state %d %s, twin's is %s", when, i, rec.Code, rec.Body, want[i])
+					}
+				}
+			}
+			check(h, "after the posts")
+			if !durable {
+				return
+			}
+			s.Close()
+			if s, err = NewServer(opt); err != nil {
+				t.Fatal(err)
+			}
+			check(s.Handler(), "after reopen")
+		})
 	}
 }

@@ -502,9 +502,14 @@ func (inst *Instance) worker() {
 		}
 
 		inst.mu.Lock()
-		inst.queue = inst.queue[1:]
-		if len(inst.queue) == 0 {
-			inst.queue = nil
+		// Clear the popped slot, so it cannot pin a batch slice the HTTP
+		// handler recycles, and keep the backing array when the queue
+		// drains.
+		inst.queue[0] = ingestBatch{}
+		if len(inst.queue) == 1 {
+			inst.queue = inst.queue[:0]
+		} else {
+			inst.queue = inst.queue[1:]
 		}
 		inst.pendingOps -= len(batch.its)
 		inst.appliedSeq = batch.seq

@@ -124,7 +124,16 @@ func (c *Client) doOnce(ctx context.Context, method, path, contentType string, b
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	answer := io.LimitReader(resp.Body, maxResponseBytes)
+	if dst == nil && resp.StatusCode >= 200 && resp.StatusCode <= 299 {
+		// decodeResponse would ignore the body: drain it, so the
+		// connection can be reused, without buffering it.
+		if _, err := io.Copy(io.Discard, answer); err != nil {
+			return fmt.Errorf("serveclient: reading response: %w", err)
+		}
+		return nil
+	}
+	data, err := io.ReadAll(answer)
 	if err != nil {
 		return fmt.Errorf("serveclient: reading response: %w", err)
 	}

@@ -29,6 +29,14 @@
 // failure. Any other status is a deliberate answer and returned
 // immediately as an *APIError.
 //
+// # Request bodies
+//
+// Feed encodes a batch as the compact JSONL lines {"u":3,"v":7} that the
+// server parses without encoding/json. It counts the body's bytes first
+// and builds it in one allocation of exactly that size, which every
+// retry of the call re-sends. A 2xx answer the caller has no use for is
+// drained, not buffered.
+//
 // # Response hardening
 //
 // Response decoding is all-or-nothing: bodies are read bounded, decoded

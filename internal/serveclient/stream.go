@@ -98,7 +98,11 @@ func (s *Stream) send(ctx context.Context, its []seq.Interaction) error {
 // seq 1 after a crash is safe — the exactly-once path crash-recovery
 // drivers lean on. Most callers want a Stream, which tracks the counter.
 func (c *Client) Feed(ctx context.Context, name string, its []seq.Interaction, seqNo uint64) error {
-	body := make([]byte, 0, 24*len(its))
+	size := 0
+	for _, it := range its {
+		size += len(`{"u":,"v":}`+"\n") + decimalLen(int64(it.U)) + decimalLen(int64(it.V))
+	}
+	body := make([]byte, 0, size)
 	for _, it := range its {
 		body = append(body, `{"u":`...)
 		body = strconv.AppendInt(body, int64(it.U), 10)
@@ -111,4 +115,16 @@ func (c *Client) Feed(ctx context.Context, name string, its []seq.Interaction, s
 		return fmt.Errorf("serveclient: feed %s seq %d: %w", name, seqNo, err)
 	}
 	return nil
+}
+
+// decimalLen is the length of strconv.AppendInt(nil, x, 10).
+func decimalLen(x int64) int {
+	n, mag := 1, uint64(x)
+	if x < 0 {
+		n, mag = 2, -mag
+	}
+	for ; mag >= 10; mag /= 10 {
+		n++
+	}
+	return n
 }
