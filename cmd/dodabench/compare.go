@@ -31,6 +31,7 @@ func trackedMetrics(rep *hotpathReport) map[string]float64 {
 		"scenario_gen.edge_markovian_n64_ns_per_interaction":  rep.ScenarioGen.EdgeMarkovianN64Ns,
 		"scenario_gen.edge_markovian_n128_ns_per_interaction": rep.ScenarioGen.EdgeMarkovianN128Ns,
 		"scenario_gen.churn_uniform_n64_ns_per_interaction":   rep.ScenarioGen.ChurnUniformN64Ns,
+		"scenario_gen.community_n64_ns_per_interaction":       rep.ScenarioGen.CommunityN64Ns,
 		// The no-WAL configuration isolates admission+queue+apply cost;
 		// the durable figures (fsync-bound) are recorded but not gated.
 		"serve_load.ephemeral_ns_per_op": rep.ServeLoad.EphemeralNsPerOp,

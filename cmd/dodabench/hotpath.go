@@ -111,20 +111,24 @@ type sweepKnowledgeReport struct {
 }
 
 // scenarioGenReport times the scenario generators experiment S1 sweeps,
-// per generated interaction: edge-Markovian at n=64 and n=128 and churn
-// over uniform contacts at n=64, each the fastest of repeated runs of at
-// least a second. The edge-Markovian figures are dominated by the
-// per-tick Bernoulli flips of every potential edge, churn's by its
-// per-node availability flips and the inner draws they reject. The ns
-// figures are regression-guarded like the engine's.
+// per generated interaction: edge-Markovian at n=64 and n=128, churn
+// over uniform contacts at n=64 and community at n=64, each the fastest
+// of repeated runs of at least a second. The edge-Markovian figures are
+// dominated by the per-tick Bernoulli flips of every potential edge,
+// churn's by its per-node availability flips and the inner draws they
+// reject, community's by its pair draw. The ns figures are
+// regression-guarded like the engine's.
 type scenarioGenReport struct {
 	PUp                 float64 `json:"p_up"`
 	PDown               float64 `json:"p_down"`
 	PFail               float64 `json:"p_fail"`
 	PRecover            float64 `json:"p_recover"`
+	Communities         int     `json:"communities"`
+	PIntra              float64 `json:"p_intra"`
 	EdgeMarkovianN64Ns  float64 `json:"edge_markovian_n64_ns_per_interaction"`
 	EdgeMarkovianN128Ns float64 `json:"edge_markovian_n128_ns_per_interaction"`
 	ChurnUniformN64Ns   float64 `json:"churn_uniform_n64_ns_per_interaction"`
+	CommunityN64Ns      float64 `json:"community_n64_ns_per_interaction"`
 }
 
 // hotpathReport is the BENCH_hotpath.json document. CalibrationNs is a
@@ -567,10 +571,10 @@ func benchSweepKnowledge() (sweepKnowledgeReport, error) {
 }
 
 // benchScenarioGen fills the scenario_gen section: S1's edge-Markovian
-// (p-up 0.05, p-down 0.2) and churn (p-fail 0.1, p-recover 0.1)
-// parameters.
+// (p-up 0.05, p-down 0.2), churn (p-fail 0.1, p-recover 0.1) and
+// community (4 communities, p-intra 0.9) parameters.
 func benchScenarioGen() (scenarioGenReport, error) {
-	rep := scenarioGenReport{PUp: 0.05, PDown: 0.2, PFail: 0.1, PRecover: 0.1}
+	rep := scenarioGenReport{PUp: 0.05, PDown: 0.2, PFail: 0.1, PRecover: 0.1, Communities: 4, PIntra: 0.9}
 	em64, err := scenario.NewEdgeMarkovian(64, rep.PUp, rep.PDown)
 	if err != nil {
 		return rep, err
@@ -587,9 +591,18 @@ func benchScenarioGen() (scenarioGenReport, error) {
 	if err != nil {
 		return rep, err
 	}
+	sizes, err := scenario.EvenSizes(64, rep.Communities)
+	if err != nil {
+		return rep, err
+	}
+	community, err := scenario.NewCommunity(sizes, rep.PIntra)
+	if err != nil {
+		return rep, err
+	}
 	rep.EdgeMarkovianN64Ns = genNs(em64)
 	rep.EdgeMarkovianN128Ns = genNs(em128)
 	rep.ChurnUniformN64Ns = genNs(churn)
+	rep.CommunityN64Ns = genNs(community)
 	return rep, nil
 }
 

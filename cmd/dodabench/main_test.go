@@ -120,7 +120,7 @@ func TestHotpathJSON(t *testing.T) {
 		rep.ServeLoad.DurableP99Ms < rep.ServeLoad.DurableP50Ms {
 		t.Errorf("serve-load section bad: %+v", rep.ServeLoad)
 	}
-	if g := rep.ScenarioGen; g.EdgeMarkovianN64Ns <= 0 || g.EdgeMarkovianN128Ns <= 0 || g.ChurnUniformN64Ns <= 0 {
+	if g := rep.ScenarioGen; g.EdgeMarkovianN64Ns <= 0 || g.EdgeMarkovianN128Ns <= 0 || g.ChurnUniformN64Ns <= 0 || g.CommunityN64Ns <= 0 {
 		t.Errorf("scenario-gen section bad: %+v", g)
 	}
 	t.Logf("sweep_progress_overhead: %+v", rep.SweepProgress)
@@ -298,8 +298,8 @@ func TestSweepKnowledgeBytesGate(t *testing.T) {
 func TestScenarioGenGuard(t *testing.T) {
 	dir := t.TempDir()
 	base := hotpathReport{}
-	base.ScenarioGen = scenarioGenReport{PUp: 0.05, PDown: 0.2, PFail: 0.1, PRecover: 0.1,
-		EdgeMarkovianN64Ns: 2000, EdgeMarkovianN128Ns: 10000, ChurnUniformN64Ns: 300}
+	base.ScenarioGen = scenarioGenReport{PUp: 0.05, PDown: 0.2, PFail: 0.1, PRecover: 0.1, Communities: 4, PIntra: 0.9,
+		EdgeMarkovianN64Ns: 2000, EdgeMarkovianN128Ns: 10000, ChurnUniformN64Ns: 300, CommunityN64Ns: 60}
 	basePath := filepath.Join(dir, "base.json")
 	if err := writeReportJSON(&base, basePath); err != nil {
 		t.Fatal(err)
@@ -312,6 +312,7 @@ func TestScenarioGenGuard(t *testing.T) {
 		"scenario_gen.edge_markovian_n64_ns_per_interaction",
 		"scenario_gen.edge_markovian_n128_ns_per_interaction",
 		"scenario_gen.churn_uniform_n64_ns_per_interaction",
+		"scenario_gen.community_n64_ns_per_interaction",
 	}
 	for _, name := range names {
 		key := `"` + strings.TrimPrefix(name, "scenario_gen.") + `"`
@@ -355,6 +356,8 @@ func TestScenarioGenGuard(t *testing.T) {
 			slow.ScenarioGen.EdgeMarkovianN128Ns *= 1.5
 		case 2:
 			slow.ScenarioGen.ChurnUniformN64Ns *= 1.5
+		case 3:
+			slow.ScenarioGen.CommunityN64Ns *= 1.5
 		}
 		out.Reset()
 		err := compareBaseline(&slow, basePath, 0.25, &out)

@@ -146,19 +146,20 @@ func (s *Source) Pair(n int) (a, b int) {
 		panic(ErrEmptyRange)
 	}
 	total := uint64(n) * uint64(n-1) / 2
-	return pairAt(n, s.boundedUint64(total))
+	return PairAt(n, s.boundedUint64(total))
 }
 
-// pairAt returns the k-th unordered pair of [0, n) in lexicographic order
-// ({0,1}, {0,2}, ..., {n-2,n-1}), inverting the index in O(1). Counting
-// pairs from the END of the order, the reversed rows have lengths
-// 1, 2, ..., n-1, so the reversed row index is the triangular root of
-// j = total-1-k. The float estimate is corrected by an exact integer walk
-// of at most a step or two, so every k maps to the same (a, b) as a
-// linear row scan — Pair's deterministic output stream is that of the
-// old O(n) scan, bit for bit — while the draw stops costing O(n) at
-// large n (the scan dominated whole-run profiles beyond n ≈ 10³).
-func pairAt(n int, k uint64) (a, b int) {
+// PairAt returns the k-th unordered pair {a, b}, a < b, of [0, n) in
+// lexicographic order ({0,1}, {0,2}, ..., {n-2,n-1}), for k below
+// n(n-1)/2, inverting the index in O(1). Counting pairs from the END of
+// the order, the reversed rows have lengths 1, 2, ..., n-1, so the
+// reversed row index is the triangular root of j = total-1-k. The float
+// estimate is corrected by an exact integer walk of at most a step or
+// two, so every k maps to the same (a, b) as a linear row scan — Pair's
+// deterministic output stream is that of the old O(n) scan, bit for
+// bit — while the draw stops costing O(n) at large n (the scan
+// dominated whole-run profiles beyond n ≈ 10³).
+func PairAt(n int, k uint64) (a, b int) {
 	j := uint64(n)*uint64(n-1)/2 - 1 - k
 	i := uint64((math.Sqrt(float64(8*j+1)) - 1) / 2)
 	for i*(i+1)/2 > j {

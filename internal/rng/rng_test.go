@@ -319,10 +319,10 @@ func TestPairAtMatchesLinearScan(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 7, 64, 101, 257} {
 		total := uint64(n) * uint64(n-1) / 2
 		for k := uint64(0); k < total; k++ {
-			ga, gb := pairAt(n, k)
+			ga, gb := PairAt(n, k)
 			wa, wb := scan(n, k)
 			if ga != wa || gb != wb {
-				t.Fatalf("pairAt(%d, %d) = (%d,%d), scan gives (%d,%d)", n, k, ga, gb, wa, wb)
+				t.Fatalf("PairAt(%d, %d) = (%d,%d), scan gives (%d,%d)", n, k, ga, gb, wa, wb)
 			}
 		}
 	}
@@ -337,14 +337,14 @@ func TestPairAtMatchesLinearScan(t *testing.T) {
 			ks = append(ks, src.boundedUint64(total))
 		}
 		for _, k := range ks {
-			a, b := pairAt(n, k)
+			a, b := PairAt(n, k)
 			if a < 0 || b >= n || a >= b {
-				t.Fatalf("pairAt(%d, %d) = (%d,%d) invalid", n, k, a, b)
+				t.Fatalf("PairAt(%d, %d) = (%d,%d) invalid", n, k, a, b)
 			}
 			au, bu := uint64(a), uint64(b)
 			back := au*uint64(n) - au*(au+3)/2 + bu - 1
 			if back != k {
-				t.Fatalf("pairAt(%d, %d) = (%d,%d) maps back to index %d", n, k, a, b, back)
+				t.Fatalf("PairAt(%d, %d) = (%d,%d) maps back to index %d", n, k, a, b, back)
 			}
 		}
 	}

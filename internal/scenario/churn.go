@@ -55,42 +55,27 @@ func (m *Churn) Generator(src *rng.Source) func(t int) seq.Interaction {
 	online := make([]bool, n)
 	up := make([]int, n) // node ids currently online
 	down := make([]int, 0, n)
-	pos := make([]int, n) // node -> index in up or down
 	for u := range online {
 		online[u] = true
 		up[u] = u
-		pos[u] = u
 	}
 	failSkip, recoverSkip := geomSkipFor(m.pFail), geomSkipFor(m.pRecover)
-	var scratch, flips []int
-	move := func(from *[]int, to *[]int, id int) {
-		s := *from
-		i, last := pos[id], len(s)-1
-		s[i] = s[last]
-		pos[s[i]] = i
-		*from = s[:last]
-		pos[id] = len(*to)
-		*to = append(*to, id)
+	var idx, moved []int
+	move := func(from, to *[]int, flips []int, on bool) {
+		mark := len(*to)
+		*from, *to, moved = moveFlipped(*from, *to, flips, moved)
+		for _, id := range (*to)[mark:] {
+			online[id] = on
+		}
 	}
+	// tick moves the fails first: like the edge-Markovian deaths, they
+	// land beyond every index the recoveries drew.
 	tick := func() {
-		flips = flips[:0]
-		scratch = failSkip.indices(src, len(up), scratch[:0])
-		for _, i := range scratch {
-			flips = append(flips, up[i])
-		}
-		fails := len(flips)
-		scratch = recoverSkip.indices(src, len(down), scratch[:0])
-		for _, i := range scratch {
-			flips = append(flips, down[i])
-		}
-		for _, id := range flips[:fails] {
-			move(&up, &down, id)
-			online[id] = false
-		}
-		for _, id := range flips[fails:] {
-			move(&down, &up, id)
-			online[id] = true
-		}
+		idx = failSkip.indices(src, len(up), idx[:0])
+		fails := len(idx)
+		idx = recoverSkip.indices(src, len(down), idx)
+		move(&up, &down, idx[:fails], false)
+		move(&down, &up, idx[fails:], true)
 	}
 	// revive fast-forwards the availability chains to their next
 	// recovery when fewer than two nodes are online. Offline nodes share
@@ -99,9 +84,8 @@ func (m *Churn) Generator(src *rng.Source) func(t int) seq.Interaction {
 	// interaction instead of spinning ~1/(offline·pRecover) ticks.
 	revive := func() {
 		for len(up) < 2 {
-			id := down[src.Intn(len(down))]
-			move(&down, &up, id)
-			online[id] = true
+			idx = append(idx[:0], src.Intn(len(down)))
+			move(&down, &up, idx, true)
 		}
 	}
 	innerT := 0

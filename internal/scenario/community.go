@@ -110,19 +110,9 @@ func (m *Community) pickIntra(src *rng.Source) seq.Interaction {
 			k -= pairs
 			continue
 		}
-		// k indexes the pairs {i, i+1..s-1} lexicographically, as in
-		// rng.Pair.
-		i, rowLen := 0, m.sizes[c]-1
-		for k >= rowLen {
-			k -= rowLen
-			i++
-			rowLen--
-		}
+		i, j := rng.PairAt(m.sizes[c], uint64(k))
 		base := m.starts[c]
-		return seq.Interaction{
-			U: graph.NodeID(base + i),
-			V: graph.NodeID(base + i + 1 + k),
-		}
+		return seq.Interaction{U: graph.NodeID(base + i), V: graph.NodeID(base + j)}
 	}
 	panic("scenario: intra pair index out of range") // unreachable
 }

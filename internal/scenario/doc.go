@@ -26,10 +26,11 @@
 // one Uint64, and a table answers it for most draws without math.Log
 // (geomskip.go). The table is exact by construction, not by tolerance:
 // it answers only draws more than a guard band of 16 draws away from
-// every step of K and every bucket end, where a few ulps of error in
-// math.Log and the divide, worth at most about one draw, cannot change
-// the floor. Every other draw, every bucket holding two or more steps,
-// and every probability below 2⁻¹³ takes the float path, and either way
+// every step of K, where a few ulps of error in math.Log and the divide,
+// worth at most about one draw, cannot change the floor. Every other
+// draw, every bucket holding two or more steps or lying within the band
+// of a step across its edge, and every probability below 2⁻¹³ takes the
+// float path, and either way
 // each trial makes exactly one Uint64 draw, so sequences are bit-for-bit
 // those of the float path alone. A table takes 25–260 µs to build and
 // holds 64 KiB, while a model costs nanoseconds and is built once just
@@ -37,6 +38,34 @@
 // first generator that needs one, and shared through a bounded
 // process-wide cache keyed by p: once per distinct probability, never
 // per model or replica.
+//
+// # Live and dead sets
+//
+// The edge-Markovian generator keeps its edge ids in two slices, live
+// and dead, and churn its node ids in up and down. Their orders are part
+// of every sequence: the next interaction is the live entry at a drawn
+// index, and a tick's flips are drawn as indices into the slices as
+// they stood when the tick began. A tick moves the flipped entries in
+// draw order, deaths (fails) before births (recoveries), each by
+// swap-delete: the slice's last entry fills the hole and the flipped
+// entry is appended to the other slice. The deaths land beyond every
+// index the births drew, so applying them first moves nothing the births
+// read.
+//
+// No index from entry to position is needed to find a flipped entry
+// (moveFlipped in scenario.go). Swap-deletes only shorten a slice, so an
+// entry whose start-of-pass index is below the current length still
+// sits there, and one at or above it was carried out of the tail, into
+// the hole of the removal that carried it, which a per-pass buffer
+// records by tail position. With increasing indices nothing still to be
+// removed is carried twice. Say E was: the removal of some R carried it
+// from its hole h down into R's hole. R was carried there after E was
+// carried to h (R is removed first, so its start index, its tail
+// position, is the smaller), so the entry Q removed to make R's hole
+// came after the one removed to make h, and its start index exceeds h.
+// Q sat below h, so Q too had been carried, earlier than R and from a
+// tail position above R's start index, yet Q was removed before R:
+// against the increasing order.
 //
 // # Contract with the execution stack
 //

@@ -39,8 +39,15 @@ func NewEdgeMarkovian(n int, pUp, pDown float64) (*EdgeMarkovian, error) {
 	if !(pDown >= 0 && pDown <= 1) {
 		return nil, fmt.Errorf("scenario: edge death probability %v outside [0, 1]", pDown)
 	}
+	if n > maxEdgeMarkovianN {
+		return nil, fmt.Errorf("scenario: edge-markovian takes at most %d nodes, got %d", maxEdgeMarkovianN, n)
+	}
 	return &EdgeMarkovian{n: n, pUp: pUp, pDown: pDown}, nil
 }
+
+// maxEdgeMarkovianN is the largest n whose n(n-1)/2 edge ids fit in the
+// generator's int32 entries.
+const maxEdgeMarkovianN = 1 << 16
 
 // Name implements Model.
 func (m *EdgeMarkovian) Name() string { return "edge-markovian" }
@@ -53,10 +60,8 @@ type emGen struct {
 	src        *rng.Source
 	up, down   *geomSkip         // birth and death skips
 	pairs      []seq.Interaction // edge id -> endpoints
-	pos        []int             // edge id -> index in live or dead
-	live, dead []int             // edge ids by state
-	scratch    []int             // reused flip buffer
-	ids        []int             // reused flip buffer
+	live, dead []int32           // edge ids by state
+	idx, moved []int             // reused flip buffers
 }
 
 // Generator implements Model. The chain starts in its stationary
@@ -69,7 +74,6 @@ func (m *EdgeMarkovian) Generator(src *rng.Source) func(t int) seq.Interaction {
 		up:    geomSkipFor(m.pUp),
 		down:  geomSkipFor(m.pDown),
 		pairs: make([]seq.Interaction, 0, edges),
-		pos:   make([]int, edges),
 	}
 	for u := 0; u < m.n; u++ {
 		for v := u + 1; v < m.n; v++ {
@@ -82,11 +86,9 @@ func (m *EdgeMarkovian) Generator(src *rng.Source) func(t int) seq.Interaction {
 	for id := 0; id < edges; id++ {
 		if next < len(born) && born[next] == id {
 			next++
-			g.pos[id] = len(g.live)
-			g.live = append(g.live, id)
+			g.live = append(g.live, int32(id))
 		} else {
-			g.pos[id] = len(g.dead)
-			g.dead = append(g.dead, id)
+			g.dead = append(g.dead, int32(id))
 		}
 	}
 	return func(int) seq.Interaction {
@@ -97,10 +99,8 @@ func (m *EdgeMarkovian) Generator(src *rng.Source) func(t int) seq.Interaction {
 			// is uniform over them — sample it directly instead of
 			// spinning ~1/(edges·pUp) ticks, which keeps even tiny
 			// birth probabilities O(1) per interaction.
-			id := g.dead[g.src.Intn(len(g.dead))]
-			g.remove(&g.dead, id)
-			g.pos[id] = len(g.live)
-			g.live = append(g.live, id)
+			g.idx = append(g.idx[:0], g.src.Intn(len(g.dead)))
+			g.dead, g.live, g.moved = moveFlipped(g.dead, g.live, g.idx, g.moved)
 		}
 		return g.pairs[g.live[g.src.Intn(len(g.live))]]
 	}
@@ -108,35 +108,13 @@ func (m *EdgeMarkovian) Generator(src *rng.Source) func(t int) seq.Interaction {
 
 // tick advances every edge chain one step: i.i.d. Bernoulli flips over the
 // live set (deaths) and the dead set (births), both evaluated against the
-// state at the start of the step.
+// state at the start of the step. The deaths are moved first; they land
+// beyond every index the births drew, so the births still find their
+// entries where they were drawn.
 func (g *emGen) tick() {
-	g.ids = g.ids[:0]
-	g.scratch = g.down.indices(g.src, len(g.live), g.scratch[:0])
-	for _, i := range g.scratch {
-		g.ids = append(g.ids, g.live[i])
-	}
-	deaths := len(g.ids)
-	g.scratch = g.up.indices(g.src, len(g.dead), g.scratch[:0])
-	for _, i := range g.scratch {
-		g.ids = append(g.ids, g.dead[i])
-	}
-	for _, id := range g.ids[:deaths] {
-		g.remove(&g.live, id)
-		g.pos[id] = len(g.dead)
-		g.dead = append(g.dead, id)
-	}
-	for _, id := range g.ids[deaths:] {
-		g.remove(&g.dead, id)
-		g.pos[id] = len(g.live)
-		g.live = append(g.live, id)
-	}
-}
-
-// remove swap-deletes edge id from the slice it currently occupies.
-func (g *emGen) remove(from *[]int, id int) {
-	s := *from
-	i, last := g.pos[id], len(s)-1
-	s[i] = s[last]
-	g.pos[s[i]] = i
-	*from = s[:last]
+	g.idx = g.down.indices(g.src, len(g.live), g.idx[:0])
+	deaths := len(g.idx)
+	g.idx = g.up.indices(g.src, len(g.dead), g.idx)
+	g.live, g.dead, g.moved = moveFlipped(g.live, g.dead, g.idx[:deaths], g.moved)
+	g.dead, g.live, g.moved = moveFlipped(g.dead, g.live, g.idx[deaths:], g.moved)
 }

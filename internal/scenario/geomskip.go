@@ -13,13 +13,15 @@ package scenario
 // The table answers only where it provably agrees with the float path:
 // near step k, k·|log q| ≈ |log u|, so the few ulps of error in math.Log
 // and the divide move the float floor by at most ~3·u·|log u| ≤ 1.1 draws.
-// Draws within skipGuard of a step or of a bucket's first or last draw,
-// every draw in a bucket that holds two or more steps, and every draw of
-// a probability whose steps are too dense for the table take the float
-// path, as do the draws of a bucket whose step the float path, probed at
-// ±(skipGuard+1), puts elsewhere. Each trial still makes exactly one
-// Uint64 draw either way, so the sequences are bit-for-bit those of the
-// float path.
+// Draws within skipGuard of a step, every draw in a bucket that holds
+// two or more steps or borders, within skipGuard+1 draws of its edge, a
+// step of the next or previous bucket, and every draw of a probability
+// whose steps are too dense for the table take the float path, as do
+// the draws of a bucket whose step the float path, probed at
+// ±(skipGuard+1), puts elsewhere. So a lookup tests only its bucket's
+// flag and its bucket's step. Each trial still makes exactly one Uint64
+// draw either way, so the sequences are bit-for-bit those of the float
+// path.
 
 import (
 	"math"
@@ -34,8 +36,8 @@ const (
 	skipBucketShift = 53 - skipBucketBits
 	skipBucketWidth = 1 << skipBucketShift
 	// skipGuard is the half-width, in draws, of the band around each step
-	// and bucket end that the float path answers. The float path's own
-	// error is about one draw; 16 leaves a wide margin.
+	// that the float path answers. The float path's own error is about
+	// one draw; 16 leaves a wide margin.
 	skipGuard = 16
 	// noStep is the step of a bucket over which K is constant: no draw
 	// reaches it or comes within skipGuard of it.
@@ -68,18 +70,22 @@ func newGeomSkip(p float64) *geomSkip {
 		return g
 	}
 	tab := new([skipBuckets]skipBucket)
+	var edge []int             // buckets a step beyond their edge lies within skipGuard+1 of
 	next, prev := 0, uint64(0) // next bucket without a base; previous step
 	k := 1
 	for ; ; k++ {
-		x := -math.Expm1(float64(k)*g.logq) * (1 << 53)
-		if !(x < 1<<53) {
+		// -expm1 is at most 1, so r is at most 2⁵³, the end of the draw
+		// range; a step there marks the last bucket by the edge rule.
+		r := uint64(math.Ceil(-math.Expm1(float64(k)*g.logq) * (1 << 53)))
+		b := int(r >> skipBucketShift)
+		if off := r & (skipBucketWidth - 1); off <= skipGuard {
+			edge = append(edge, b-1)
+		} else if off >= skipBucketWidth-1-skipGuard {
+			edge = append(edge, b+1)
+		}
+		if r >= 1<<53 {
 			break // K stays below k over the whole draw range
 		}
-		r := uint64(math.Ceil(x))
-		if r >= 1<<53 {
-			break
-		}
-		b := int(r >> skipBucketShift)
 		if r-prev < skipBucketWidth/2 {
 			// b may be prev's bucket, which then holds two steps.
 			for next = min(next, b); next < skipBuckets; next++ {
@@ -99,6 +105,12 @@ func newGeomSkip(p float64) *geomSkip {
 	}
 	for ; next < skipBuckets; next++ {
 		tab[next] = skipBucket{step: noStep, base: int64(k - 1)}
+	}
+	// A bucket's own step test cannot see a step just across its edge.
+	for _, b := range edge {
+		if b < skipBuckets {
+			tab[b].base = -1
+		}
 	}
 	g.tab = tab
 	return g
@@ -129,11 +141,9 @@ func (g *geomSkip) lookup(r uint64) (int, bool) {
 		return 0, false
 	}
 	e := &g.tab[r>>skipBucketShift]
-	off := r & (skipBucketWidth - 1)
-	// Unsigned wrap-around folds each two-sided band into one compare:
-	// the end test passes for off in (skipGuard, width-1-skipGuard), the
-	// step test for |r - step| > skipGuard.
-	if e.base < 0 || off-(skipGuard+1) >= skipBucketWidth-2*skipGuard-2 || r-e.step+skipGuard <= 2*skipGuard {
+	// Unsigned wrap-around folds the two-sided band into one compare,
+	// which passes for |r - step| > skipGuard.
+	if e.base < 0 || r-e.step+skipGuard <= 2*skipGuard {
 		return 0, false
 	}
 	k := int(e.base)

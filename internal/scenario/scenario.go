@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"doda/internal/adversary"
 	"doda/internal/core"
@@ -56,4 +57,31 @@ func Adversary(m Model, seed uint64) (core.Adversary, *seq.Stream, error) {
 // tick look the table up once and call its indices method instead.
 func bernoulliIndices(src *rng.Source, m int, p float64, out []int) []int {
 	return geomSkipFor(p).indices(src, m, out)
+}
+
+// moveFlipped swap-deletes from `from` the entries at idx, strictly
+// increasing indices into from as it was when the call began, appending
+// each to `to` in idx order, and returns both slices and moved, its
+// scratch. Each removal fills its hole with from's current last entry,
+// so the slices end exactly as deleting the same entries one by one
+// would leave them, without an index from entry to position: removals
+// only shorten from, so an entry whose start index is below the current
+// length has not moved, and one at or above it was carried out of the
+// tail into the hole moved records for that tail position. With
+// increasing indices no entry still to be removed is carried twice (see
+// "Live and dead sets" in doc.go).
+func moveFlipped[E any](from, to []E, idx []int, moved []int) ([]E, []E, []int) {
+	top, at := len(from)-1, len(to)
+	to = slices.Grow(to, len(idx))[:at+len(idx)]
+	moved = slices.Grow(moved[:0], len(idx))[:len(idx)]
+	for k, p := range idx {
+		// Before removal k, from holds top+1-k entries.
+		if p > top-k {
+			p = moved[top-p]
+		}
+		to[at+k] = from[p]
+		from[p] = from[top-k]
+		moved[k] = p
+	}
+	return from[:top+1-len(idx)], to, moved
 }

@@ -105,12 +105,17 @@ func TestEdgeMarkovianValidation(t *testing.T) {
 		{name: "birth above one", n: 4, pUp: 1.5, pDown: 0.5},
 		{name: "negative death", n: 4, pUp: 0.5, pDown: -0.1},
 		{name: "death above one", n: 4, pUp: 0.5, pDown: 1.1},
+		{name: "edge ids past int32", n: 1<<16 + 1, pUp: 0.5, pDown: 0.5},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := NewEdgeMarkovian(tt.n, tt.pUp, tt.pDown); err == nil {
 				t.Error("want error")
 			}
 		})
+	}
+	// 2¹⁶ nodes have 2,147,450,880 edges, the most below MaxInt32.
+	if _, err := NewEdgeMarkovian(1<<16, 0.5, 0.5); err != nil {
+		t.Errorf("n=2^16 refused: %v", err)
 	}
 }
 
