@@ -32,6 +32,7 @@ func trackedMetrics(rep *hotpathReport) map[string]float64 {
 		"scenario_gen.edge_markovian_n128_ns_per_interaction": rep.ScenarioGen.EdgeMarkovianN128Ns,
 		"scenario_gen.churn_uniform_n64_ns_per_interaction":   rep.ScenarioGen.ChurnUniformN64Ns,
 		"scenario_gen.community_n64_ns_per_interaction":       rep.ScenarioGen.CommunityN64Ns,
+		"scenario_gen.uniform_n512_ns_per_interaction":        rep.ScenarioGen.UniformN512Ns,
 		// The no-WAL configuration isolates admission+queue+apply cost;
 		// the durable figures (fsync-bound) are recorded but not gated.
 		"serve_load.ephemeral_ns_per_op": rep.ServeLoad.EphemeralNsPerOp,
@@ -39,8 +40,11 @@ func trackedMetrics(rep *hotpathReport) map[string]float64 {
 }
 
 // compareBaseline prints a metric-by-metric diff of rep against the
-// baseline report at path and returns an error when any tracked metric
-// regressed by more than tolerance (a fraction: 0.25 = 25% slower).
+// baseline report at path, then the verdict of every absolute gate, and
+// returns one error naming every failure: a tracked metric that
+// regressed by more than tolerance (a fraction: 0.25 = 25% slower), and
+// each gate over its ceiling. Every verdict is printed before it fails,
+// so one run shows all that a change broke.
 //
 // When both reports carry a calibration figure, every fresh metric is
 // rescaled by baseline_calibration / fresh_calibration first, so a
@@ -84,20 +88,25 @@ func compareBaseline(rep *hotpathReport, path string, tolerance float64, w io.Wr
 		}
 		fmt.Fprintf(w, "  %-52s %9.2f -> %9.2f ns  (%+6.1f%%)  %s\n", name, bv, nv, delta*100, verdict)
 	}
+	var failures []string
 	if len(regressions) > 0 {
-		return fmt.Errorf("%d tracked metric(s) regressed more than %.0f%%: %s",
-			len(regressions), tolerance*100, strings.Join(regressions, "; "))
+		failures = append(failures, fmt.Sprintf("%d tracked metric(s) regressed more than %.0f%%: %s",
+			len(regressions), tolerance*100, strings.Join(regressions, "; ")))
 	}
-	if err := checkProgressOverhead(rep, w); err != nil {
-		return err
+	for _, err := range []error{
+		checkProgressOverhead(rep, w),
+		checkDensityGate(rep, &base, tolerance, w),
+		checkAllocGates(rep, w),
+		checkSweepKnowledgeBytes(rep, w),
+	} {
+		if err != nil {
+			failures = append(failures, err.Error())
+		}
 	}
-	if err := checkDensityGate(rep, &base, tolerance, w); err != nil {
-		return err
+	if len(failures) > 0 {
+		return fmt.Errorf("%d gate(s) failed: %s", len(failures), strings.Join(failures, "; "))
 	}
-	if err := checkAllocGates(rep, w); err != nil {
-		return err
-	}
-	return checkSweepKnowledgeBytes(rep, w)
+	return nil
 }
 
 // checkDensityGate compares the serve_density memory figures against
@@ -133,7 +142,7 @@ const progressOverheadMax = 0.02
 
 func checkProgressOverhead(rep *hotpathReport, w io.Writer) error {
 	o := rep.SweepProgress
-	if o.Trials == 0 {
+	if o.Pairs == 0 {
 		fmt.Fprintf(w, "  %-52s (skipped: section missing)\n", "sweep_progress_overhead.overhead_frac")
 		return nil
 	}
@@ -141,11 +150,11 @@ func checkProgressOverhead(rep *hotpathReport, w io.Writer) error {
 	if o.OverheadFrac > progressOverheadMax {
 		verdict = "REGRESSION"
 	}
-	fmt.Fprintf(w, "  %-52s %+9.2f%% of sweep throughput (ceiling %+.0f%%)  %s\n",
-		"sweep_progress_overhead.overhead_frac", o.OverheadFrac*100, progressOverheadMax*100, verdict)
+	fmt.Fprintf(w, "  %-52s %+9.2f%% of sweep throughput (ceiling %+.0f%%, %d pairs, ratio IQR %.4f)  %s\n",
+		"sweep_progress_overhead.overhead_frac", o.OverheadFrac*100, progressOverheadMax*100, o.Pairs, o.RatioIQR, verdict)
 	if o.OverheadFrac > progressOverheadMax {
-		return fmt.Errorf("progress instrumentation costs %.1f%% of sweep throughput, ceiling is %.0f%% (base %.1fms vs instrumented %.1fms over %d cells)",
-			o.OverheadFrac*100, progressOverheadMax*100, o.BaseMs, o.InstrumentedMs, o.Cells)
+		return fmt.Errorf("progress instrumentation costs %.1f%% of sweep throughput, ceiling is %.0f%% (median of %d paired ratios; base %.1fms vs instrumented %.1fms over %d cells)",
+			o.OverheadFrac*100, progressOverheadMax*100, o.Pairs, o.BaseMs, o.InstrumentedMs, o.Cells)
 	}
 	return nil
 }

@@ -111,7 +111,7 @@ func TestHotpathJSON(t *testing.T) {
 		rep.SweepLargeN.Interactions <= 0 || rep.SweepLargeN.PerSec <= 0 {
 		t.Errorf("large-n sweep section bad: %+v", rep.SweepLargeN)
 	}
-	if rep.SweepProgress.Trials == 0 || rep.SweepProgress.Cells == 0 ||
+	if rep.SweepProgress.Pairs == 0 || rep.SweepProgress.Cells == 0 ||
 		rep.SweepProgress.BaseMs <= 0 || rep.SweepProgress.InstrumentedMs <= 0 {
 		t.Errorf("progress-overhead section bad: %+v", rep.SweepProgress)
 	}
@@ -120,7 +120,7 @@ func TestHotpathJSON(t *testing.T) {
 		rep.ServeLoad.DurableP99Ms < rep.ServeLoad.DurableP50Ms {
 		t.Errorf("serve-load section bad: %+v", rep.ServeLoad)
 	}
-	if g := rep.ScenarioGen; g.EdgeMarkovianN64Ns <= 0 || g.EdgeMarkovianN128Ns <= 0 || g.ChurnUniformN64Ns <= 0 || g.CommunityN64Ns <= 0 {
+	if g := rep.ScenarioGen; g.EdgeMarkovianN64Ns <= 0 || g.EdgeMarkovianN128Ns <= 0 || g.ChurnUniformN64Ns <= 0 || g.CommunityN64Ns <= 0 || g.UniformN512Ns <= 0 {
 		t.Errorf("scenario-gen section bad: %+v", g)
 	}
 	t.Logf("sweep_progress_overhead: %+v", rep.SweepProgress)
@@ -225,7 +225,7 @@ func TestProgressOverheadGate(t *testing.T) {
 	}
 
 	fresh := base
-	fresh.SweepProgress = sweepProgressOverhead{Cells: 12, Trials: 4, BaseMs: 100, InstrumentedMs: 101, OverheadFrac: 0.01}
+	fresh.SweepProgress = sweepProgressOverhead{Cells: 12, Pairs: 12, BaseMs: 100, InstrumentedMs: 101, OverheadFrac: 0.01}
 	var out strings.Builder
 	if err := compareBaseline(&fresh, basePath, 0.25, &out); err != nil {
 		t.Errorf("1%% overhead failed the 2%% gate: %v\n%s", err, out.String())
@@ -299,7 +299,7 @@ func TestScenarioGenGuard(t *testing.T) {
 	dir := t.TempDir()
 	base := hotpathReport{}
 	base.ScenarioGen = scenarioGenReport{PUp: 0.05, PDown: 0.2, PFail: 0.1, PRecover: 0.1, Communities: 4, PIntra: 0.9,
-		EdgeMarkovianN64Ns: 2000, EdgeMarkovianN128Ns: 10000, ChurnUniformN64Ns: 300, CommunityN64Ns: 60}
+		EdgeMarkovianN64Ns: 2000, EdgeMarkovianN128Ns: 10000, ChurnUniformN64Ns: 300, CommunityN64Ns: 60, UniformN512Ns: 10}
 	basePath := filepath.Join(dir, "base.json")
 	if err := writeReportJSON(&base, basePath); err != nil {
 		t.Fatal(err)
@@ -313,6 +313,7 @@ func TestScenarioGenGuard(t *testing.T) {
 		"scenario_gen.edge_markovian_n128_ns_per_interaction",
 		"scenario_gen.churn_uniform_n64_ns_per_interaction",
 		"scenario_gen.community_n64_ns_per_interaction",
+		"scenario_gen.uniform_n512_ns_per_interaction",
 	}
 	for _, name := range names {
 		key := `"` + strings.TrimPrefix(name, "scenario_gen.") + `"`
@@ -358,12 +359,49 @@ func TestScenarioGenGuard(t *testing.T) {
 			slow.ScenarioGen.ChurnUniformN64Ns *= 1.5
 		case 3:
 			slow.ScenarioGen.CommunityN64Ns *= 1.5
+		case 4:
+			slow.ScenarioGen.UniformN512Ns *= 1.5
 		}
 		out.Reset()
 		err := compareBaseline(&slow, basePath, 0.25, &out)
 		if err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("50%% slower %s passed the guard: %v\n%s", name, err, out.String())
 		}
+	}
+}
+
+// TestCompareBaselineNamesEveryFailure checks that the guard evaluates
+// every gate before it fails: a report that fails one ns gate and one
+// alloc gate prints both verdicts and returns one error naming both, and
+// still prints the verdict of the gates after them.
+func TestCompareBaselineNamesEveryFailure(t *testing.T) {
+	dir := t.TempDir()
+	base := hotpathReport{}
+	base.Engine = perInteraction{Runs: 10, NsPerInteraction: 100}
+	base.Sim = perInteraction{Runs: 10, NsPerInteraction: 1000}
+	base.SweepKnowledge = sweepKnowledgeReport{N: 256, Replicas: 20, Workers: 1, NsPerInteraction: 30, BytesPerReplica: 20 << 10}
+	basePath := filepath.Join(dir, "base.json")
+	if err := writeReportJSON(&base, basePath); err != nil {
+		t.Fatal(err)
+	}
+	bad := base
+	bad.Sim.NsPerInteraction = 1500 // +50%
+	bad.Engine.AllocsPerRun = 3
+	var out strings.Builder
+	err := compareBaseline(&bad, basePath, 0.25, &out)
+	if err == nil {
+		t.Fatalf("two failing gates passed:\n%s", out.String())
+	}
+	for _, name := range []string{"sim.ns_per_interaction", "engine 3.0 allocs/run"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+	if got := strings.Count(out.String(), "REGRESSION"); got != 2 {
+		t.Errorf("%d REGRESSION verdicts printed, want 2:\n%s", got, out.String())
+	}
+	if !strings.Contains(out.String(), "sweep_knowledge.bytes_per_replica") {
+		t.Errorf("the gate after the failures printed no verdict:\n%s", out.String())
 	}
 }
 

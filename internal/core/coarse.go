@@ -71,8 +71,9 @@ type CoarseBatchAdversary interface {
 // later. Screened-out interactions still count as interactions — they
 // are no-ops for every algorithm because Decide is only consulted when
 // both endpoints own data — which is what makes it sound to skip their
-// dispatch entirely. (Observer algorithms see every interaction and must
-// not be prescreened; callers gate on that.)
+// dispatch entirely. The engine skips the same interactions, one at a
+// time, in its own loops (Engine.plays). (Observer algorithms see every
+// interaction and must not be prescreened; callers gate on that.)
 //
 // mask must have at least (len(batch)+63)/64 words. words is indexed by
 // node id; callers guarantee batch is canonical and in range.

@@ -4,6 +4,15 @@
 // adversary while enforcing the model's rules — a node transmits its data
 // at most once, cannot participate after transmitting, and the execution
 // terminates when the sink is the only node owning data.
+//
+// Every interaction is canonicalised, range-checked and counted, but
+// the engine plays through its step only those an algorithm can act on:
+// both endpoints own data, or the algorithm is an Observer, or an
+// EventSink records every interaction. Any other interaction reaches no
+// Decide and changes no state, so skipping it leaves every Result as it
+// was; the concurrent runtime in internal/sim skips the same ones (see
+// PrescreenBoth). Under the randomized adversary most interactions are
+// such: about 9 in 10 of Waiting's, and over 98 in 100 of Gathering's.
 package core
 
 import (
@@ -602,6 +611,9 @@ func (e *Engine) runScalar(alg Algorithm, adv Adversary, res *Result) error {
 			return fmt.Errorf("core: adversary %s at t=%d: %w", adv.Name(), t, seq.CanonError(it))
 		}
 		res.Interactions++
+		if !e.plays(canon, observes, events) {
+			continue
+		}
 		done, err := e.step(alg, observer, observes, events, canon, t, res)
 		if err != nil || done {
 			return err
@@ -652,6 +664,9 @@ func (e *Engine) runBatched(alg Algorithm, ba BatchAdversary, ca CoarseBatchAdve
 				return fmt.Errorf("core: adversary %s at t=%d: %w", adv.Name(), t+i, seq.CanonError(e.batch[i]))
 			}
 			res.Interactions++
+			if !e.plays(canon, observes, events) {
+				continue
+			}
 			done, err := e.step(alg, observer, observes, events, canon, t+i, res)
 			if err != nil || done {
 				return err
@@ -671,6 +686,18 @@ func (e *Engine) runBatched(alg Algorithm, ba BatchAdversary, ca CoarseBatchAdve
 		}
 	}
 	return nil
+}
+
+// plays reports whether step must play the canonical interaction canon:
+// the rule the scalar and batched loops and Feed share, so they cannot
+// drift. An interaction whose endpoints do not both own data reaches no
+// Decide and changes no ownership, datum or counter but Interactions,
+// which the loops count themselves; and it cannot end the run, since the
+// step before it left the run going. Only an Observer, which sees every
+// interaction, or an EventSink, which records it, needs step for it.
+// The sim's scheduler skips the same interactions (see PrescreenBoth).
+func (e *Engine) plays(canon seq.Interaction, observes bool, events EventSink) bool {
+	return e.owns[canon.U] && e.owns[canon.V] || observes || events != nil
 }
 
 // step plays one canonical, range-checked interaction — the shared body

@@ -84,7 +84,10 @@ func (e *Engine) Feed(it seq.Interaction) (done bool, err error) {
 		return true, fmt.Errorf("core: fed at t=%d: %w", e.str.t, seq.CanonError(it))
 	}
 	e.str.res.Interactions++
-	over, err := e.step(e.str.alg, e.str.observer, e.str.observes, e.cfg.Events, canon, e.str.t, &e.str.res)
+	var over bool
+	if e.plays(canon, e.str.observes, e.cfg.Events) {
+		over, err = e.step(e.str.alg, e.str.observer, e.str.observes, e.cfg.Events, canon, e.str.t, &e.str.res)
+	}
 	e.str.t++
 	if err != nil {
 		e.str.done = true
@@ -225,7 +228,9 @@ func (e *Engine) StateSnapshot() (EngineState, error) {
 // RestoreStream resets the engine under cfg, Begins alg, and overwrites
 // the fresh state with st, so the next Feed continues the snapshotted
 // execution exactly. The snapshot must have been taken under the same
-// (N, sink, provenance) configuration and an oblivious algorithm.
+// (N, sink, provenance) configuration and an oblivious algorithm, and a
+// snapshot that is not done must hold a run still going: the sink and at
+// least one other node own data.
 func (e *Engine) RestoreStream(cfg Config, alg Algorithm, st EngineState) error {
 	if alg == nil {
 		return fmt.Errorf("core: nil algorithm")
@@ -284,6 +289,12 @@ func (e *Engine) RestoreStream(cfg Config, alg Algorithm, st EngineState) error 
 		e.data[u] = agg.Value{Num: st.Data[i].Num, Count: st.Data[i].Count, Origins: set}
 	}
 	e.nOwn = len(st.Owners)
+	// Feed skips interactions that cannot end a run the previous step
+	// left going; a run latches done the moment it ends, so no execution
+	// leaves a state that is over but not done.
+	if !st.Done && (e.nOwn < 2 || !e.owns[cfg.Sink]) {
+		return fmt.Errorf("core: snapshot is not done, yet its run is over (%d owner(s), sink owns data: %t)", e.nOwn, e.owns[cfg.Sink])
+	}
 	e.str.t = st.T
 	e.str.done = st.Done
 	e.str.res = Result{

@@ -332,6 +332,10 @@ func TestRestoreRejectsMismatchedSnapshot(t *testing.T) {
 		{"owner-order", func(s *EngineState) { s.Owners[1] = s.Owners[0] }, cfg},
 		{"len-mismatch", func(s *EngineState) { s.Data = s.Data[:1] }, cfg},
 		{"origin-range", func(s *EngineState) { s.Data[0].Origins = []int{77} }, cfg},
+		// A run that is over latches done, so these states are not
+		// snapshots of any execution.
+		{"sink-alone-not-done", func(s *EngineState) { s.Owners, s.Data = s.Owners[:1], s.Data[:1] }, cfg},
+		{"sink-gone-not-done", func(s *EngineState) { s.Owners, s.Data = s.Owners[1:], s.Data[1:] }, cfg},
 	} {
 		bad := st
 		bad.Owners = append([]int(nil), st.Owners...)

@@ -9,6 +9,19 @@
 //
 // Sources are NOT safe for concurrent use; create one Source per goroutine
 // (Split derives independent streams deterministically).
+//
+// Uniform pair draws have two paths with one output. Source.Pair inverts
+// its draw with PairAt, a float square root corrected by integer steps.
+// A PairTable, built once per n by PairTableFor and shared, answers the
+// same inversion from one word per bucket of consecutive pair indices:
+// the bucket's first row and the index that row starts at, from which
+// the next row's start follows. Within a bucket that meets at most those
+// two rows, one compare picks the row and the pair follows by integer
+// arithmetic, so the table is exact by construction; PairAt answers the
+// rare bucket that meets three rows, and every n above the table bound.
+// Both paths make the same single bounded draw, so a stream drawn
+// through a table is Pair's stream bit for bit, and the source ends in
+// the same state.
 package rng
 
 import (

@@ -13,9 +13,11 @@ import (
 // TestGeomSkipMatchesFloatPath checks the table against the float path
 // wherever the table answers: around every step (found by bisecting the
 // float path itself, not from the table's own formula), around every
-// bucket edge, and over a million random draws per probability. It also
-// checks that the table does answer, so one that always fell back could
-// not pass.
+// bucket edge, and over a million random draws per probability. A step
+// within skipGuard+1 draws of a bucket edge must leave the bucket across
+// that edge slow, since that bucket's own step test cannot see it; p=0.5
+// puts its first twelve steps exactly on edges. It also checks that the
+// table does answer, so one that always fell back could not pass.
 func TestGeomSkipMatchesFloatPath(t *testing.T) {
 	const (
 		band     = 64
@@ -23,6 +25,7 @@ func TestGeomSkipMatchesFloatPath(t *testing.T) {
 		random   = 1 << 20
 	)
 	ps := []float64{0.999, 0.9, 0.5, 0.2, 0.1, 0.05, 0.01, 0.001, 1e-9, 0.05 / (0.05 + 0.2)}
+	edgeSteps := 0
 	for _, p := range ps {
 		g := newGeomSkip(p)
 		logq := math.Log1p(-p)
@@ -56,6 +59,22 @@ func TestGeomSkipMatchesFloatPath(t *testing.T) {
 				}
 			}
 			around(lo)
+			if g.tab == nil {
+				continue
+			}
+			b, off := lo>>skipBucketShift, lo&(skipBucketWidth-1)
+			across := -1
+			if off <= skipGuard && b > 0 {
+				across = int(b) - 1
+			} else if off >= skipBucketWidth-1-skipGuard && b+1 < skipBuckets {
+				across = int(b) + 1
+			}
+			if across >= 0 {
+				edgeSteps++
+				if g.tab[across].base >= 0 {
+					t.Fatalf("p=%v: step %d lies %d draws into bucket %d, yet bucket %d across the edge is not slow", p, k, off, b, across)
+				}
+			}
 		}
 		for b := uint64(0); b < skipBuckets; b++ {
 			around(b << skipBucketShift)
@@ -79,6 +98,9 @@ func TestGeomSkipMatchesFloatPath(t *testing.T) {
 			t.Errorf("p=0.05: %d slow buckets and %d of %d random draws answered; want at most 16 and 99%%",
 				slow, answered, random)
 		}
+	}
+	if edgeSteps == 0 {
+		t.Error("no step lies near a bucket edge, so the edge marking is never checked")
 	}
 }
 

@@ -284,10 +284,12 @@ func (s *Stream) Prefix(k int) *Sequence {
 
 // UniformGen returns a generator drawing each interaction uniformly at
 // random over the n(n-1)/2 unordered pairs — the randomized adversary of
-// §4.
+// §4. It draws through n's shared rng.PairTable, which returns exactly
+// what src.Pair(n) would.
 func UniformGen(n int, src *rng.Source) func(t int) Interaction {
+	pairs := rng.PairTableFor(n)
 	return func(int) Interaction {
-		a, b := src.Pair(n)
+		a, b := pairs.Pair(src)
 		return Interaction{U: graph.NodeID(a), V: graph.NodeID(b)}
 	}
 }
@@ -301,8 +303,9 @@ func Uniform(n, length int, src *rng.Source) (*Sequence, error) {
 		return nil, fmt.Errorf("seq: negative length %d", length)
 	}
 	steps := make([]Interaction, length)
+	pairs := rng.PairTableFor(n)
 	for t := range steps {
-		a, b := src.Pair(n)
+		a, b := pairs.Pair(src)
 		steps[t] = Interaction{U: graph.NodeID(a), V: graph.NodeID(b)}
 	}
 	return &Sequence{n: n, steps: steps}, nil
