@@ -22,6 +22,7 @@ func trackedMetrics(rep *hotpathReport) map[string]float64 {
 	return map[string]float64{
 		"engine.ns_per_interaction":                           rep.Engine.NsPerInteraction,
 		"engine_batched.ns_per_interaction":                   rep.EngineBatched.NsPerInteraction,
+		"engine_screened.ns_per_interaction":                  rep.EngineScreened.NsPerInteraction,
 		"sim.ns_per_interaction":                              rep.Sim.NsPerInteraction,
 		"sim_sharded.ns_per_interaction":                      rep.SimSharded.NsPerInteraction,
 		"alias_sampler.ns_per_draw":                           rep.AliasSampler.NsPerDraw,
@@ -49,7 +50,9 @@ func trackedMetrics(rep *hotpathReport) map[string]float64 {
 // When both reports carry a calibration figure, every fresh metric is
 // rescaled by baseline_calibration / fresh_calibration first, so a
 // baseline committed from one machine still gates code changes — not raw
-// hardware speed — when CI re-measures on different silicon.
+// hardware speed — when CI re-measures on different silicon. A baseline
+// measured at another GOMAXPROCS is refused outright: the sim sizes its
+// shards and spin-wait from it, so no rescaling makes the two compare.
 func compareBaseline(rep *hotpathReport, path string, tolerance float64, w io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -58,6 +61,10 @@ func compareBaseline(rep *hotpathReport, path string, tolerance float64, w io.Wr
 	var base hotpathReport
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
+	}
+	if base.GoMaxProcs != rep.GoMaxProcs {
+		return fmt.Errorf("baseline %s was measured at gomaxprocs %d, the fresh report at %d: figures taken at different settings do not compare",
+			path, base.GoMaxProcs, rep.GoMaxProcs)
 	}
 	scale := 1.0
 	if base.CalibrationNs > 0 && rep.CalibrationNs > 0 {
@@ -176,6 +183,7 @@ func checkAllocGates(rep *hotpathReport, w io.Writer) error {
 	}{
 		{"engine", rep.Engine},
 		{"engine_batched", rep.EngineBatched},
+		{"engine_screened", rep.EngineScreened},
 		{"sim", rep.Sim},
 		{"sim_sharded", rep.SimSharded},
 	}

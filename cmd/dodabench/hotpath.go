@@ -2,11 +2,12 @@ package main
 
 // Hot-path micro-benchmarks behind the -json flag: the perf trajectory
 // file BENCH_hotpath.json records ns/op and allocs/op for the engine's
-// steady-state interaction loop (scalar and batched), the concurrent
-// runtime, the alias sampler, the large-n engine configurations, the
-// sweep engine's whole-fleet throughput and its waiting-greedy cells, and
-// the scenario generators, so future changes have a baseline to compare
-// against (see compare.go for the regression guard).
+// steady-state interaction loop (scalar, batched and screened), the
+// concurrent runtime, the alias sampler, the large-n engine
+// configurations, the sweep engine's whole-fleet throughput and its
+// waiting-greedy cells, and the scenario generators, so future changes
+// have a baseline to compare against (see compare.go for the regression
+// guard).
 
 import (
 	"encoding/json"
@@ -150,6 +151,7 @@ type hotpathReport struct {
 	CalibrationNs  float64               `json:"calibration_ns"`
 	Engine         perInteraction        `json:"engine"`
 	EngineBatched  perInteraction        `json:"engine_batched"`
+	EngineScreened perInteraction        `json:"engine_screened"`
 	Sim            perInteraction        `json:"sim"`
 	SimSharded     perInteraction        `json:"sim_sharded"`
 	AliasSampler   perDraw               `json:"alias_sampler"`
@@ -174,20 +176,50 @@ type nextOnly struct{ core.Adversary }
 // batched keeps the adversary's BatchAdversary drain path; otherwise the
 // adversary runs behind nextOnly, on the per-interaction Next path.
 func benchEngine(n int, batched bool) (perInteraction, error) {
-	cfg := core.Config{N: n, MaxInteractions: 400*n*n + 4000, VerifyAggregate: true}
-	eng, err := core.NewEngine(cfg)
-	if err != nil {
-		return perInteraction{}, err
-	}
 	var adv core.Adversary
-	adv, err = adversary.NewGenerated("uniform", n, seq.UniformGen(n, rng.New(1)))
+	adv, err := adversary.NewGenerated("uniform", n, seq.UniformGen(n, rng.New(1)))
 	if err != nil {
 		return perInteraction{}, err
 	}
 	if !batched {
 		adv = nextOnly{adv}
 	}
-	alg := algorithms.NewGathering()
+	return benchRuns(n, algorithms.NewGathering(), adv)
+}
+
+// benchEngineScreened measures the screened drain path as the sweep's
+// uniform cells play it: Waiting against adversary.Uniform, which hands
+// the engine only interactions between two data owners, with benchEngine's
+// set-up. The figure is per consumed interaction, skipped ones included,
+// and the fastest of three runs: on a shared host one run in a process
+// read up to 1.45 times the others.
+func benchEngineScreened(n int) (perInteraction, error) {
+	adv, err := adversary.NewUniform("uniform", n, rng.New(1))
+	if err != nil {
+		return perInteraction{}, err
+	}
+	var best perInteraction
+	for trial := 0; trial < 3; trial++ {
+		rep, err := benchRuns(n, algorithms.Waiting{}, adv)
+		if err != nil {
+			return perInteraction{}, err
+		}
+		if trial == 0 || rep.NsPerInteraction < best.NsPerInteraction {
+			best = rep
+		}
+	}
+	return best, nil
+}
+
+// benchRuns times whole runs of alg against adv on one engine re-armed
+// by Reset, with one adversary across all of them, as a sweep worker
+// reuses its engine.
+func benchRuns(n int, alg core.Algorithm, adv core.Adversary) (perInteraction, error) {
+	cfg := core.Config{N: n, MaxInteractions: 400*n*n + 4000, VerifyAggregate: true}
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		return perInteraction{}, err
+	}
 	var interactions int64
 	var benchErr error
 	res := testing.Benchmark(func(b *testing.B) {
@@ -691,8 +723,13 @@ func benchCalibration() float64 {
 	return float64(res.T.Nanoseconds()) / float64(res.N)
 }
 
-// collectHotpath runs the whole hot-path suite.
+// collectHotpath runs the whole hot-path suite at GOMAXPROCS=1, the
+// setting the committed baseline was measured at, and restores the
+// caller's setting afterwards. The sim sizes its shards and its
+// spin-wait from GOMAXPROCS, so its figures at another setting measure
+// another configuration.
 func collectHotpath() (*hotpathReport, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var rep hotpathReport
 	var err error
 	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
@@ -702,6 +739,9 @@ func collectHotpath() (*hotpathReport, error) {
 	}
 	if rep.EngineBatched, err = benchEngine(64, true); err != nil {
 		return nil, fmt.Errorf("batched engine benchmark: %w", err)
+	}
+	if rep.EngineScreened, err = benchEngineScreened(512); err != nil {
+		return nil, fmt.Errorf("screened engine benchmark: %w", err)
 	}
 	if rep.Sim, err = benchSim(32, 0); err != nil {
 		return nil, fmt.Errorf("sim benchmark: %w", err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -65,14 +66,19 @@ func TestRunParallelAutoWorkers(t *testing.T) {
 }
 
 // TestHotpathJSON exercises the -json perf-baseline mode end to end and
-// pins the zero-allocation contract in the emitted report.
+// pins the zero-allocation contract in the emitted report, and that the
+// suite runs at GOMAXPROCS=1 and gives the caller's setting back.
 func TestHotpathJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark run skipped in -short mode")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	path := filepath.Join(t.TempDir(), "BENCH_hotpath.json")
 	if err := run([]string{"-json", path}); err != nil {
 		t.Fatal(err)
+	}
+	if got := runtime.GOMAXPROCS(0); got != 3 {
+		t.Errorf("GOMAXPROCS is %d after the suite, want the caller's 3", got)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -101,8 +107,14 @@ func TestHotpathJSON(t *testing.T) {
 	if rep.Sweep.Cells == 0 || rep.Sweep.CellsPerSec <= 0 {
 		t.Errorf("sweep section empty: %+v", rep.Sweep)
 	}
+	if rep.GoMaxProcs != 1 {
+		t.Errorf("suite ran at gomaxprocs %d, want 1", rep.GoMaxProcs)
+	}
 	if rep.EngineBatched.NsPerInteraction <= 0 || rep.EngineBatched.AllocsPerRun >= 1 {
 		t.Errorf("batched engine section bad: %+v", rep.EngineBatched)
+	}
+	if s := rep.EngineScreened; s.N != 512 || s.NsPerInteraction <= 0 || s.Interactions == 0 || s.AllocsPerRun >= 1 {
+		t.Errorf("screened engine section bad: %+v", s)
 	}
 	if rep.LargeN.N != 4096 || rep.LargeN.BatchedCountNs <= 0 || rep.LargeN.BatchedCountPerSec <= 0 {
 		t.Errorf("large-n section bad: %+v", rep.LargeN)
@@ -205,6 +217,44 @@ func TestCompareBaselineCalibration(t *testing.T) {
 	out.Reset()
 	if err := compareBaseline(&realRegression, basePath, 0.25, &out); err == nil {
 		t.Errorf("machine-relative regression not detected:\n%s", out.String())
+	}
+}
+
+// TestCompareBaselineGOMAXPROCS checks that the guard refuses a
+// baseline measured at another GOMAXPROCS than the fresh report, naming
+// both settings, and compares reports taken at one setting as before.
+func TestCompareBaselineGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	base := hotpathReport{GoMaxProcs: 2}
+	base.Engine.NsPerInteraction = 100
+	base.EngineScreened = perInteraction{N: 512, Runs: 10, NsPerInteraction: 8}
+	basePath := filepath.Join(dir, "base.json")
+	if err := writeReportJSON(&base, basePath); err != nil {
+		t.Fatal(err)
+	}
+	fresh := base
+	fresh.GoMaxProcs = 1
+	var out strings.Builder
+	err := compareBaseline(&fresh, basePath, 0.25, &out)
+	if err == nil || !strings.Contains(err.Error(), "gomaxprocs 2") || !strings.Contains(err.Error(), "at 1") {
+		t.Errorf("baseline at 2 against a report at 1: got %v, want an error naming both", err)
+	}
+
+	fresh.GoMaxProcs = 2
+	out.Reset()
+	if err := compareBaseline(&fresh, basePath, 0.25, &out); err != nil {
+		t.Errorf("equal settings failed: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "engine_screened.ns_per_interaction") || !strings.Contains(out.String(), "engine_screened.allocs_per_run") {
+		t.Errorf("guard does not compare the screened engine:\n%s", out.String())
+	}
+	slow := fresh
+	slow.EngineScreened.NsPerInteraction = 12 // +50%
+	slow.EngineScreened.AllocsPerRun = 2
+	out.Reset()
+	err = compareBaseline(&slow, basePath, 0.25, &out)
+	if err == nil || !strings.Contains(err.Error(), "engine_screened.ns_per_interaction") || !strings.Contains(err.Error(), "engine_screened 2.0 allocs/run") {
+		t.Errorf("slow, allocating screened engine passed: %v\n%s", err, out.String())
 	}
 }
 

@@ -39,11 +39,17 @@ type eventLog struct{ events []core.Event }
 func (l *eventLog) OnEvent(ev core.Event) { l.events = append(l.events, ev) }
 func (l *eventLog) OnDone(core.Result)    {}
 
-// runLogged plays s through one engine path, with or without an
-// EventSink: "batched" drains an oblivious adversary, "scalar" hides its
-// NextBatch, "feed" pushes each interaction through Begin/Feed/Finish.
-func runLogged(t *testing.T, path string, alg core.Algorithm, s *seq.Sequence, know *knowledge.Bundle, horizon int, events *eventLog) core.Result {
+// runLogged plays s, seq.Uniform's sequence for seed, through one engine
+// path, with or without an EventSink: "batched" drains an oblivious
+// adversary, "scalar" hides its NextBatch, "feed" pushes each
+// interaction through Begin/Feed/Finish, and "screened" plays
+// adversary.Uniform from seed, which draws s and goes on past its end,
+// so its horizon stops at s's length.
+func runLogged(t *testing.T, path string, alg core.Algorithm, s *seq.Sequence, seed uint64, know *knowledge.Bundle, horizon int, events *eventLog) core.Result {
 	t.Helper()
+	if path == "screened" {
+		horizon = min(horizon, s.Len())
+	}
 	cfg := core.Config{N: s.N(), MaxInteractions: horizon, Know: know, VerifyAggregate: true}
 	if events != nil {
 		cfg.Events = events
@@ -66,6 +72,12 @@ func runLogged(t *testing.T, path string, alg core.Algorithm, s *seq.Sequence, k
 			}
 		}
 		res, err = eng.Finish()
+	case "screened":
+		var adv core.Adversary
+		if adv, err = adversary.NewUniform("uniform", s.N(), rng.New(seed)); err != nil {
+			t.Fatal(err)
+		}
+		res, err = eng.Run(alg, adv)
 	default:
 		var adv core.Adversary
 		if adv, err = adversary.NewOblivious("seq", s); err != nil {
@@ -99,12 +111,13 @@ func sameResult(a, b core.Result) bool {
 
 // TestIdleSkipKeepsResults checks the engine's skip of idle
 // interactions, those whose endpoints do not both own data, for every
-// sweep algorithm plus FutureOptimal, on the batched, scalar and push
-// paths. An attached EventSink makes the engine play every interaction
-// through step, so a run with one is the reference: the Result without
-// one must be field-identical, Decide must run exactly at the events
-// with BothOwned set, and an Observer must see every interaction either
-// way.
+// sweep algorithm plus FutureOptimal, on the batched, scalar, push and
+// screened paths; the screened path skips them at the source, and an
+// Observer's screened run drains NextBatch. An attached EventSink makes
+// the engine play every interaction through step, so a run with one is
+// the reference: the Result without one must be field-identical, Decide
+// must run exactly at the events with BothOwned set, and an Observer
+// must see every interaction either way.
 func TestIdleSkipKeepsResults(t *testing.T) {
 	idle, terminated := 0, 0
 	for _, tc := range []struct {
@@ -133,7 +146,7 @@ func TestIdleSkipKeepsResults(t *testing.T) {
 		for _, a := range algs {
 			for _, horizon := range []int{cap, s.Len() / 3} {
 				var first core.Result
-				for _, path := range []string{"batched", "scalar", "feed"} {
+				for _, path := range []string{"batched", "scalar", "feed", "screened"} {
 					var runs [2]core.Result
 					var logs [2]*decideLog
 					var observed [2]int
@@ -145,7 +158,7 @@ func TestIdleSkipKeepsResults(t *testing.T) {
 						if _, ok := alg.(core.Observer); ok {
 							wrapped = &observeLog{decideLog: logs[i]}
 						}
-						runs[i] = runLogged(t, path, wrapped, s, a.know, horizon, sink)
+						runs[i] = runLogged(t, path, wrapped, s, tc.seed, a.know, horizon, sink)
 						if o, ok := wrapped.(*observeLog); ok {
 							observed[i] = o.observed
 						}

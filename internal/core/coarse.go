@@ -72,8 +72,11 @@ type CoarseBatchAdversary interface {
 // are no-ops for every algorithm because Decide is only consulted when
 // both endpoints own data — which is what makes it sound to skip their
 // dispatch entirely. The engine skips the same interactions, one at a
-// time, in its own loops (Engine.plays). (Observer algorithms see every
-// interaction and must not be prescreened; callers gate on that.)
+// time, in its own loops (Engine.plays), after checking each is a
+// canonical pair of [0, n); a ScreenedAdversary skips them before the
+// engine sees them and vouches for their range itself, and the engine
+// checks only the owner pair it is handed. (Observer algorithms see
+// every interaction and must not be prescreened; callers gate on that.)
 //
 // mask must have at least (len(batch)+63)/64 words. words is indexed by
 // node id; callers guarantee batch is canonical and in range.

@@ -5,14 +5,25 @@
 // at most once, cannot participate after transmitting, and the execution
 // terminates when the sink is the only node owning data.
 //
-// Every interaction is canonicalised, range-checked and counted, but
-// the engine plays through its step only those an algorithm can act on:
-// both endpoints own data, or the algorithm is an Observer, or an
-// EventSink records every interaction. Any other interaction reaches no
-// Decide and changes no state, so skipping it leaves every Result as it
-// was; the concurrent runtime in internal/sim skips the same ones (see
-// PrescreenBoth). Under the randomized adversary most interactions are
-// such: about 9 in 10 of Waiting's, and over 98 in 100 of Gathering's.
+// Every interaction the engine is handed is canonicalised, range-checked
+// and counted, but the engine plays through its step only those an
+// algorithm can act on: both endpoints own data, or the algorithm is an
+// Observer, or an EventSink records every interaction. Any other
+// interaction reaches no Decide and changes no state, so skipping it
+// leaves every Result as it was; the concurrent runtime in internal/sim
+// skips the same ones (see PrescreenBoth). Under the randomized
+// adversary most interactions are such: about 9 in 10 of Waiting's, and
+// over 98 in 100 of Gathering's.
+//
+// A ScreenedAdversary skips them before the engine sees them: given the
+// ownership bitset, it consumes its sequence up to the next interaction
+// between two owners and hands over that one alone, with its time. The
+// engine still checks the interaction it is handed (canonical, in
+// range, timed inside the span it asked for, both endpoints owning
+// data) and counts the skipped ones, but it cannot check them: the
+// adversary vouches that they were pairs of [0, n). The engine asks for
+// screened interactions only where skipping is invisible, so never for
+// an Observer or with an EventSink attached.
 package core
 
 import (
@@ -179,6 +190,31 @@ type BatchAdversary interface {
 	// interactions when the run ends mid-batch, so implementations must
 	// not assume every generated interaction is played.
 	NextBatch(t int, view ExecView, buf []seq.Interaction) int
+}
+
+// ScreenedAdversary is an optional extension of BatchAdversary for
+// adversaries that can skip, at the source, the interactions no
+// algorithm acts on: those whose endpoints do not both own data (see
+// Engine.plays). The engine hands it the ownership bitset and takes
+// back only the next interaction between two owners, counting the ones
+// skipped on the way. It does so only when the algorithm is not an
+// Observer, no EventSink is attached and N matches the run's node
+// count; otherwise it drains NextBatch as for any BatchAdversary, and
+// the Results are the same either way. The sequence must be unbounded:
+// NextOwned has no way to report exhaustion.
+type ScreenedAdversary interface {
+	BatchAdversary
+	// N returns the node count the sequence ranges over.
+	N() int
+	// NextOwned consumes the sequence from time t through the first
+	// interaction whose two endpoints both have their bit set in owners
+	// (bit u at owners[u/64] bit u%64), at most span interactions, and
+	// returns that interaction and its time at. ok is false when all
+	// span interactions were consumed and none qualified. It must not
+	// consume past the interaction it returns: the engine may hand the
+	// next call a different owners set, or stop. owners aliases engine
+	// state and must not be mutated or kept.
+	NextOwned(t, span int, owners []uint64) (it seq.Interaction, at int, ok bool)
 }
 
 // ProvenanceMode selects how much per-datum provenance an execution
@@ -540,11 +576,15 @@ const batchSize = 512
 // model violations (nil algorithm, transfers between non-owners, double
 // aggregation); normal non-termination is not an error.
 //
-// The adversary's type alone picks the drain path: a BatchAdversary or
-// CoarseBatchAdversary is drained through a reusable buffer, any other
-// adversary one Next call per interaction. The paths produce identical
-// Results; differential tests get the one-at-a-time reference by hiding
-// the batch methods behind a wrapper that embeds only Adversary.
+// The adversary's type alone picks the drain path: a ScreenedAdversary
+// hands over only interactions between two data owners (unless the
+// algorithm is an Observer or an EventSink is attached), a
+// BatchAdversary or CoarseBatchAdversary is drained through a reusable
+// buffer, any other adversary one Next call per interaction. The paths
+// produce identical Results; differential tests get the batched
+// reference by hiding NextOwned behind a wrapper that embeds only
+// BatchAdversary, and the one-at-a-time reference behind one that
+// embeds only Adversary.
 func (e *Engine) Run(alg Algorithm, adv Adversary) (Result, error) {
 	if alg == nil || adv == nil {
 		return Result{}, fmt.Errorf("core: nil algorithm or adversary")
@@ -573,6 +613,12 @@ func (e *Engine) Run(alg Algorithm, adv Adversary) (Result, error) {
 
 	var err error
 	switch a := adv.(type) {
+	case ScreenedAdversary:
+		if _, observes := alg.(Observer); observes || e.cfg.Events != nil || a.N() != e.cfg.N {
+			err = e.runBatched(alg, a, nil, &res)
+		} else {
+			err = e.runScreened(alg, a, &res)
+		}
 	case BatchAdversary:
 		err = e.runBatched(alg, a, nil, &res)
 	case CoarseBatchAdversary:
@@ -684,6 +730,42 @@ func (e *Engine) runBatched(alg Algorithm, ba BatchAdversary, ca CoarseBatchAdve
 		if got < want && (ca == nil || e.nOwn == ownBefore) {
 			return nil
 		}
+	}
+	return nil
+}
+
+// runScreened asks a ScreenedAdversary for one interaction between two
+// data owners at a time, so the interactions Engine.plays would skip
+// never reach the engine; it counts them in Interactions all the same.
+// It runs only for a non-Observer algorithm with no EventSink, where
+// playing exactly the owner pairs gives the batched path's Result. The
+// adversary vouches for the interactions it skips; the engine checks the
+// one it is handed: canonical, in range, timed inside the span it asked
+// for, and between two owners.
+func (e *Engine) runScreened(alg Algorithm, adv ScreenedAdversary, res *Result) error {
+	n := e.cfg.N
+	for t := 0; t < e.cfg.MaxInteractions; {
+		span := e.cfg.MaxInteractions - t
+		it, at, ok := adv.NextOwned(t, span, e.ownWords)
+		if !ok {
+			res.Interactions += span
+			return nil
+		}
+		if canon, valid := seq.Canon(it, n); !valid || canon != it {
+			return fmt.Errorf("core: adversary %s at t=%d: interaction %v is not a canonical pair of [0,%d)", adv.Name(), at, it, n)
+		}
+		if at < t || at >= t+span {
+			return fmt.Errorf("core: adversary %s returned t=%d for the span [%d,%d)", adv.Name(), at, t, t+span)
+		}
+		if !e.owns[it.U] || !e.owns[it.V] {
+			return fmt.Errorf("core: adversary %s at t=%d: interaction %v is not between two data owners", adv.Name(), at, it)
+		}
+		res.Interactions += at + 1 - t
+		done, err := e.step(alg, nil, false, nil, it, at, res)
+		if err != nil || done {
+			return err
+		}
+		t = at + 1
 	}
 	return nil
 }

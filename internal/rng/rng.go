@@ -22,6 +22,17 @@
 // Both paths make the same single bounded draw, so a stream drawn
 // through a table is Pair's stream bit for bit, and the source ends in
 // the same state.
+//
+// A PairSet is a bitmap over the pair indices of one n up to the table
+// bound, in the order PairAt inverts; Drop(u) removes u's pairs, its
+// row as one run of indices and its column as one bit per earlier row.
+// PairTable.DrawIn draws indices as Pair does until one is in a set:
+// it is Uint64 and the bounded draw written out over a state held in
+// locals, rejection redraws included, so it makes exactly Pair's draws,
+// and it stops at the first member, so the source ends where that many
+// Pair calls leave it. Only the member drawn is mapped to its pair; the
+// randomized adversary keeps its owners' pairs in a set, so an idle
+// interaction costs a generator step, a multiply and a bit test.
 package rng
 
 import (

@@ -25,6 +25,17 @@ type Model interface {
 	Generator(src *rng.Source) func(t int) seq.Interaction
 }
 
+// Screener is implemented by a Model that can play its sequence as a
+// core.ScreenedAdversary: one that draws exactly what Generator(src)
+// would, and finds the next interaction between two data owners itself
+// when the engine asks for one.
+type Screener interface {
+	Model
+	// ScreenedAdversary returns an adversary drawing all its randomness
+	// from src, as Generator(src) does.
+	ScreenedAdversary(src *rng.Source) (core.ScreenedAdversary, error)
+}
+
 // Stream wraps a model into a lazily materialised unbounded sequence
 // seeded with seed.
 func Stream(m Model, seed uint64) (*seq.Stream, error) {

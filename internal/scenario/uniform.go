@@ -7,6 +7,8 @@ package scenario
 import (
 	"fmt"
 
+	"doda/internal/adversary"
+	"doda/internal/core"
 	"doda/internal/rng"
 	"doda/internal/seq"
 )
@@ -16,7 +18,10 @@ type Uniform struct {
 	n int
 }
 
-var _ Model = (*Uniform)(nil)
+var (
+	_ Model    = (*Uniform)(nil)
+	_ Screener = (*Uniform)(nil)
+)
 
 // NewUniform validates n >= 2.
 func NewUniform(n int) (*Uniform, error) {
@@ -35,4 +40,11 @@ func (m *Uniform) N() int { return m.n }
 // Generator implements Model.
 func (m *Uniform) Generator(src *rng.Source) func(t int) seq.Interaction {
 	return seq.UniformGen(m.n, src)
+}
+
+// ScreenedAdversary implements Screener: an adversary.Uniform, which
+// plays Generator's sequence and can skip to the next interaction
+// between two data owners.
+func (m *Uniform) ScreenedAdversary(src *rng.Source) (core.ScreenedAdversary, error) {
+	return adversary.NewUniform(m.Name(), m.n, src)
 }

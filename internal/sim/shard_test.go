@@ -325,9 +325,53 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// mkUniform returns the randomized adversary on n nodes drawing from
+// seed: the sequence of Generated over seq.UniformGen, which the engine
+// plays through NextOwned and the sim through NextBatch.
+func mkUniform(t *testing.T, n int, seed uint64) core.Adversary {
+	t.Helper()
+	a, err := adversary.NewUniform("uniform", n, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestSimOverUniformEqualsScreenedEngine runs Waiting and Gathering
+// against adversary.Uniform on the sim, which drains its NextBatch, and
+// on the engine, which asks it for the next pair of data owners: the
+// Results must agree, for runs that end and runs the cap ends.
+func TestSimOverUniformEqualsScreenedEngine(t *testing.T) {
+	for _, n := range []int{2, 3, 63, 64, 65, 512} {
+		for _, alg := range []func() core.Algorithm{
+			func() core.Algorithm { return algorithms.Waiting{} },
+			func() core.Algorithm { return algorithms.NewGathering() },
+		} {
+			for _, cap := range []int{400*n*n + 4000, n * n / 3} {
+				cfg := core.Config{N: n, MaxInteractions: cap, VerifyAggregate: true}
+				eng, err := core.RunOnce(cfg, alg(), mkUniform(t, n, uint64(n)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt, err := NewRuntime(Config{N: n, MaxInteractions: cap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := rt.Run(alg(), mkUniform(t, n, uint64(n)))
+				rt.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRes(t, fmt.Sprintf("n=%d %s cap=%d", n, eng.Algorithm, cap), eng, res)
+			}
+		}
+	}
+}
+
 // FuzzSimVsEngine fuzzes the engine/sim differential over seeds, sizes
 // and provenance modes — the concurrent mirror of the engine's
-// FuzzBatchedVsScalar.
+// FuzzBatchedVsScalar — on the batched engine path and, over
+// adversary.Uniform, the screened one.
 func FuzzSimVsEngine(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(0))
 	f.Add(uint64(2), uint8(3), uint8(1))
@@ -343,9 +387,14 @@ func FuzzSimVsEngine(f *testing.F) {
 			}
 			return a
 		}
-		eng, err := core.RunOnce(core.Config{
-			N: n, MaxInteractions: cap, VerifyAggregate: true, Provenance: mode,
-		}, algorithms.NewGathering(), mkAdv())
+		cfg := core.Config{N: n, MaxInteractions: cap, VerifyAggregate: true, Provenance: mode}
+		eng, err := core.RunOnce(cfg, algorithms.NewGathering(), mkAdv())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same sequence through adversary.Uniform: the engine asks it
+		// for owner pairs only, the sim drains its NextBatch.
+		screened, err := core.RunOnce(cfg, algorithms.NewGathering(), mkUniform(t, n, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,10 +403,22 @@ func FuzzSimVsEngine(f *testing.F) {
 			t.Fatal(err)
 		}
 		res, err := rt.Run(algorithms.NewGathering(), mkAdv())
+		if err != nil {
+			rt.Close()
+			t.Fatal(err)
+		}
+		if err := rt.Reset(Config{N: n, MaxInteractions: cap, Provenance: mode}); err != nil {
+			rt.Close()
+			t.Fatal(err)
+		}
+		overUniform, err := rt.Run(algorithms.NewGathering(), mkUniform(t, n, seed))
 		rt.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRes(t, fmt.Sprintf("seed=%d n=%d mode=%v", seed, n, mode), eng, res)
+		label := fmt.Sprintf("seed=%d n=%d mode=%v", seed, n, mode)
+		sameRes(t, label, eng, res)
+		sameRes(t, label+" over adversary.Uniform", screened, overUniform)
+		sameRes(t, label+" screened engine", screened, eng)
 	})
 }

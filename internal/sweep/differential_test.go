@@ -42,7 +42,8 @@ func sweepJSONL(t *testing.T, grid Grid, opt Options) []byte {
 // acceptance gate: for every generative registry scenario, both the
 // knowledge-free fast path and the stream-backed knowledge algorithms,
 // and all provenance choices, the batched fleet must emit byte-identical
-// JSONL to the scalar fleet.
+// JSONL to the scalar fleet, and the fleet as it runs, whose uniform
+// cells skip idle interactions at the source, to the batched one.
 func TestBatchedSweepEqualsScalarSweep(t *testing.T) {
 	var refs []ScenarioRef
 	for _, spec := range scenario.All() {
@@ -63,11 +64,16 @@ func TestBatchedSweepEqualsScalarSweep(t *testing.T) {
 			Seed:       17,
 			Provenance: prov,
 		}
-		batched := sweepJSONL(t, grid, Options{Workers: 2})
+		screened := sweepJSONL(t, grid, Options{Workers: 2})
+		batched := sweepJSONL(t, grid, Options{Workers: 2, wrapAdversary: hideScreen})
 		scalar := sweepJSONL(t, grid, Options{Workers: 2, wrapAdversary: hideBatch})
 		if !bytes.Equal(batched, scalar) {
 			t.Errorf("provenance=%s: batched and scalar sweeps differ:\n--- batched ---\n%s\n--- scalar ---\n%s",
 				prov, batched, scalar)
+		}
+		if !bytes.Equal(screened, batched) {
+			t.Errorf("provenance=%s: screened and batched sweeps differ:\n--- screened ---\n%s\n--- batched ---\n%s",
+				prov, screened, batched)
 		}
 	}
 }
@@ -78,6 +84,15 @@ func TestBatchedSweepEqualsScalarSweep(t *testing.T) {
 type nextOnly struct{ core.Adversary }
 
 func hideBatch(adv core.Adversary) core.Adversary { return nextOnly{adv} }
+
+// hideScreen hides NextOwned from a batchable adversary, so the engine
+// drains it through NextBatch.
+func hideScreen(adv core.Adversary) core.Adversary {
+	if b, ok := adv.(core.BatchAdversary); ok {
+		return struct{ core.BatchAdversary }{b}
+	}
+	return adv
+}
 
 // buildWorkload instantiates one registry scenario, writing a small
 // contact trace to disk for the trace spec.

@@ -291,11 +291,17 @@ func (r *runner) runCell(grid Grid, opt Options, cell Cell) (CellResult, error) 
 			if cap == 0 {
 				cap = scenario.DefaultCap(n)
 			}
-			gen, err := adversary.NewGenerated(spec.Name, n, model.Generator(rng.New(repSeed)))
+			// A model that can skip idle interactions at the source plays
+			// its sequence that way; the Result is the same.
+			var err error
+			if sm, ok := model.(scenario.Screener); ok {
+				adv, err = sm.ScreenedAdversary(rng.New(repSeed))
+			} else {
+				adv, err = adversary.NewGenerated(spec.Name, n, model.Generator(rng.New(repSeed)))
+			}
 			if err != nil {
 				return CellResult{}, err
 			}
-			adv = gen
 			if cell.Algorithm == "waiting-greedy" {
 				// The oracle scans a second generator built from the
 				// same model and replica seed: the sequence the
