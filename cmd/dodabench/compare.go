@@ -3,8 +3,8 @@ package main
 // The benchmark-regression guard behind -baseline: compare a fresh
 // hot-path report against the committed BENCH_hotpath.json and fail when
 // any tracked ns metric regresses beyond the tolerance. Only per-unit ns
-// figures are tracked — whole-fleet throughput (cells/sec, elapsed ms)
-// varies too much with machine load to gate on.
+// figures are tracked — whole-run times (elapsed ms) vary too much with
+// machine load to gate on.
 
 import (
 	"encoding/json"
@@ -34,8 +34,7 @@ func trackedMetrics(rep *hotpathReport) map[string]float64 {
 		"scenario_gen.churn_uniform_n64_ns_per_interaction":   rep.ScenarioGen.ChurnUniformN64Ns,
 		"scenario_gen.community_n64_ns_per_interaction":       rep.ScenarioGen.CommunityN64Ns,
 		"scenario_gen.uniform_n512_ns_per_interaction":        rep.ScenarioGen.UniformN512Ns,
-		// The no-WAL configuration isolates admission+queue+apply cost;
-		// the durable figures (fsync-bound) are recorded but not gated.
+		// The no-WAL configuration isolates admission+queue+apply cost.
 		"serve_load.ephemeral_ns_per_op": rep.ServeLoad.EphemeralNsPerOp,
 	}
 }

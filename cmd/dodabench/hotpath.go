@@ -3,11 +3,10 @@ package main
 // Hot-path micro-benchmarks behind the -json flag: the perf trajectory
 // file BENCH_hotpath.json records ns/op and allocs/op for the engine's
 // steady-state interaction loop (scalar, batched and screened), the
-// concurrent runtime, the alias sampler, the large-n engine
-// configurations, the sweep engine's whole-fleet throughput and its
-// waiting-greedy cells, and the scenario generators, so future changes
-// have a baseline to compare against (see compare.go for the regression
-// guard).
+// concurrent runtime, the alias sampler, the large-n engine, the sweep
+// engine's progress overhead and its waiting-greedy cells, and the
+// scenario generators, so future changes have a baseline to compare
+// against (see compare.go for the regression guard).
 
 import (
 	"encoding/json"
@@ -50,37 +49,13 @@ type perDraw struct {
 	AllocsPerDraw float64 `json:"allocs_per_draw"`
 }
 
-// sweepThroughput reports the fleet benchmark.
-type sweepThroughput struct {
-	Cells       int     `json:"cells"`
-	Runs        int     `json:"runs"`
-	Workers     int     `json:"workers"`
-	ElapsedMs   float64 `json:"elapsed_ms"`
-	CellsPerSec float64 `json:"cells_per_sec"`
-}
-
-// largeNReport compares the scalar full-provenance engine against the
-// batched count-only configuration on one identical large-n workload
-// (same seed, same interaction sequence, run to termination).
+// largeNReport times the batched count-only engine on one large-n
+// workload run to termination.
 type largeNReport struct {
 	N                  int     `json:"n"`
 	Interactions       int64   `json:"interactions"`
-	ScalarFullNs       float64 `json:"scalar_full_ns_per_interaction"`
 	BatchedCountNs     float64 `json:"batched_count_ns_per_interaction"`
-	Speedup            float64 `json:"speedup_x"`
 	BatchedCountPerSec float64 `json:"batched_count_interactions_per_sec"`
-}
-
-// sweepLargeNReport is one capped very-large-n run through the sweep
-// engine (count-only provenance under the auto default).
-type sweepLargeNReport struct {
-	N               int     `json:"n"`
-	MaxInteractions int     `json:"max_interactions"`
-	Provenance      string  `json:"provenance"`
-	Interactions    float64 `json:"interactions"`
-	Transmissions   int     `json:"transmissions"`
-	ElapsedMs       float64 `json:"elapsed_ms"`
-	PerSec          float64 `json:"interactions_per_sec"`
 }
 
 // sweepProgressOverhead reports what the observability layer costs: the
@@ -157,8 +132,6 @@ type hotpathReport struct {
 	AliasSampler   perDraw               `json:"alias_sampler"`
 	WeightedGen    perDraw               `json:"weighted_gen"`
 	LargeN         largeNReport          `json:"large_n"`
-	Sweep          sweepThroughput       `json:"sweep"`
-	SweepLargeN    sweepLargeNReport     `json:"sweep_large_n"`
 	SweepProgress  sweepProgressOverhead `json:"sweep_progress_overhead"`
 	SweepKnowledge sweepKnowledgeReport  `json:"sweep_knowledge"`
 	ScenarioGen    scenarioGenReport     `json:"scenario_gen"`
@@ -168,7 +141,7 @@ type hotpathReport struct {
 
 // nextOnly embeds only core.Adversary, so it hides NextBatch: the engine
 // plays the wrapped adversary one Next call at a time, the path every
-// plain adaptive adversary takes.
+// adaptive adversary takes.
 type nextOnly struct{ core.Adversary }
 
 // benchEngine measures the sequential engine's steady-state interaction
@@ -353,133 +326,40 @@ func benchWeightedGen(n int) (perDraw, error) {
 	}, nil
 }
 
-// largeNRun plays one uniform Gathering run to termination and times it.
-// disableBatch runs the adversary behind nextOnly.
-func largeNRun(n int, seed uint64, prov core.ProvenanceMode, disableBatch bool) (int64, time.Duration, error) {
+// benchLargeN plays one seeded uniform Gathering run at large n to
+// termination through the batched engine with count-only provenance, and
+// times it.
+func benchLargeN(n int) (largeNReport, error) {
 	cfg := core.Config{
 		N: n, MaxInteractions: 400*n*n + 4000, VerifyAggregate: true,
-		Provenance: prov,
+		Provenance: core.ProvenanceCount,
 	}
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
-		return 0, 0, err
+		return largeNReport{}, err
 	}
-	var adv core.Adversary
-	adv, err = adversary.NewGenerated("uniform", n, seq.UniformGen(n, rng.New(seed)))
+	adv, err := adversary.NewGenerated("uniform", n, seq.UniformGen(n, rng.New(5)))
 	if err != nil {
-		return 0, 0, err
-	}
-	if disableBatch {
-		adv = nextOnly{adv}
+		return largeNReport{}, err
 	}
 	start := time.Now()
 	out, err := eng.Run(algorithms.NewGathering(), adv)
 	elapsed := time.Since(start)
 	if err != nil {
-		return 0, 0, err
+		return largeNReport{}, err
 	}
 	if !out.Terminated {
-		return 0, 0, fmt.Errorf("large-n run (n=%d) did not terminate", n)
-	}
-	return int64(out.Interactions), elapsed, nil
-}
-
-// benchLargeN is the uniform-adversary min sweep at large n: the same
-// seeded interaction sequence played once through the scalar engine with
-// full provenance (the pre-batching configuration) and once through the
-// batched engine with count-only provenance. Same seed means both runs
-// consume the identical interaction sequence, so the ratio is a clean
-// apples-to-apples speedup.
-func benchLargeN(n int) (largeNReport, error) {
-	const seed = 5
-	scalarIts, scalarT, err := largeNRun(n, seed, core.ProvenanceFull, true)
-	if err != nil {
-		return largeNReport{}, err
-	}
-	batchIts, batchT, err := largeNRun(n, seed, core.ProvenanceCount, false)
-	if err != nil {
-		return largeNReport{}, err
-	}
-	if scalarIts != batchIts {
-		return largeNReport{}, fmt.Errorf("large-n paths diverged: %d vs %d interactions", scalarIts, batchIts)
+		return largeNReport{}, fmt.Errorf("large-n run (n=%d) did not terminate", n)
 	}
 	rep := largeNReport{
 		N:              n,
-		Interactions:   batchIts,
-		ScalarFullNs:   float64(scalarT.Nanoseconds()) / float64(scalarIts),
-		BatchedCountNs: float64(batchT.Nanoseconds()) / float64(batchIts),
+		Interactions:   int64(out.Interactions),
+		BatchedCountNs: float64(elapsed.Nanoseconds()) / float64(out.Interactions),
 	}
 	if rep.BatchedCountNs > 0 {
-		rep.Speedup = rep.ScalarFullNs / rep.BatchedCountNs
 		rep.BatchedCountPerSec = 1e9 / rep.BatchedCountNs
 	}
 	return rep, nil
-}
-
-// benchSweepLargeN pushes one n = 131072 cell through the sweep engine:
-// capped (a full Gathering termination at that size needs ~10¹⁰
-// interactions), with the auto provenance default resolving to
-// count-only — full bitsets would need ~2 GB at this size.
-func benchSweepLargeN() (sweepLargeNReport, error) {
-	const n = 128 * 1024
-	const cap = 2 << 20
-	grid := sweep.Grid{
-		Scenarios:       []sweep.ScenarioRef{{Name: "uniform"}},
-		Algorithms:      []string{"gathering"},
-		Sizes:           []int{n},
-		Replicas:        1,
-		Seed:            6,
-		MaxInteractions: cap,
-	}
-	start := time.Now()
-	results, totals, err := sweep.Run(grid, sweep.Options{Workers: 1})
-	if err != nil {
-		return sweepLargeNReport{}, err
-	}
-	elapsed := time.Since(start)
-	rep := sweepLargeNReport{
-		N:               n,
-		MaxInteractions: cap,
-		Provenance:      results[0].Provenance,
-		Interactions:    totals.Interactions,
-		Transmissions:   results[0].Transmissions,
-		ElapsedMs:       float64(elapsed.Microseconds()) / 1000,
-	}
-	if elapsed > 0 {
-		rep.PerSec = totals.Interactions / elapsed.Seconds()
-	}
-	return rep, nil
-}
-
-// benchSweep times one sharded fleet over all cores.
-func benchSweep() (sweepThroughput, error) {
-	grid := sweep.Grid{
-		Scenarios: []sweep.ScenarioRef{
-			{Name: "uniform"},
-			{Name: "zipf", Params: map[string]string{"alpha": "1"}},
-			{Name: "edge-markovian"},
-			{Name: "community", Params: map[string]string{"communities": "2"}},
-			{Name: "churn"},
-		},
-		Algorithms: []string{"waiting", "gathering"},
-		Sizes:      []int{16, 24},
-		Replicas:   5,
-		Seed:       4,
-	}
-	workers := runtime.GOMAXPROCS(0)
-	start := time.Now()
-	results, totals, err := sweep.Run(grid, sweep.Options{Workers: workers})
-	if err != nil {
-		return sweepThroughput{}, err
-	}
-	elapsed := time.Since(start)
-	return sweepThroughput{
-		Cells:       len(results),
-		Runs:        totals.Runs,
-		Workers:     workers,
-		ElapsedMs:   float64(elapsed.Microseconds()) / 1000,
-		CellsPerSec: float64(len(results)) / elapsed.Seconds(),
-	}, nil
 }
 
 // progressPairs is how many back-to-back pairs benchSweepProgress times.
@@ -757,12 +637,6 @@ func collectHotpath() (*hotpathReport, error) {
 	}
 	if rep.LargeN, err = benchLargeN(4096); err != nil {
 		return nil, fmt.Errorf("large-n benchmark: %w", err)
-	}
-	if rep.Sweep, err = benchSweep(); err != nil {
-		return nil, fmt.Errorf("sweep benchmark: %w", err)
-	}
-	if rep.SweepLargeN, err = benchSweepLargeN(); err != nil {
-		return nil, fmt.Errorf("large-n sweep benchmark: %w", err)
 	}
 	if rep.SweepProgress, err = benchSweepProgress(); err != nil {
 		return nil, fmt.Errorf("sweep progress-overhead benchmark: %w", err)

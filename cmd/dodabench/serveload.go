@@ -2,16 +2,14 @@ package main
 
 // The serve load generator behind the hot-path suite: drives an
 // in-process serve.Server the way dodaserve's HTTP handler does —
-// concurrent instances, batched Ingest, acknowledged handles — and
-// reports ingest throughput and tail latency. The ephemeral (no-WAL)
-// ns/op figure is regression-gated; the durable figures carry fsync and
-// filesystem variance, so they are recorded but not gated.
+// concurrent instances, batched Ingest, acknowledged handles — without a
+// WAL, and reports the regression-gated ns/op and ingest throughput.
+// perfbench's ingest-durable workload measures the durable path, layer
+// by layer.
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -29,9 +27,6 @@ type serveLoadReport struct {
 	TotalOps         int     `json:"total_ops"`
 	EphemeralNsPerOp float64 `json:"ephemeral_ns_per_op"`
 	EphemeralPerSec  float64 `json:"ephemeral_ops_per_sec"`
-	DurablePerSec    float64 `json:"durable_ops_per_sec"`
-	DurableP50Ms     float64 `json:"durable_p50_ms"`
-	DurableP99Ms     float64 `json:"durable_p99_ms"`
 }
 
 // serveWorkload builds batches of off-sink interactions: the waiting
@@ -55,9 +50,9 @@ func serveWorkload(n, batches, perBatch int, seed uint64) [][]seq.Interaction {
 	return out
 }
 
-// serveLoadTrial feeds every instance its workload concurrently and
-// returns the elapsed wall time plus each batch's ack latency.
-func serveLoadTrial(srv *serve.Server, instances int, workload [][]seq.Interaction) (time.Duration, []time.Duration, error) {
+// serveLoadTrial feeds every instance its workload concurrently, waiting
+// for each batch's ack, and returns the elapsed wall time.
+func serveLoadTrial(srv *serve.Server, instances int, workload [][]seq.Interaction) (time.Duration, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	insts := make([]*serve.Instance, instances)
@@ -66,24 +61,21 @@ func serveLoadTrial(srv *serve.Server, instances int, workload [][]seq.Interacti
 			Name: fmt.Sprintf("load-%d", i), N: 256, Algorithm: "waiting", Agg: "min",
 		})
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		insts[i] = inst
 	}
 	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		firstErr  error
-		wg        sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
 	)
 	start := time.Now()
 	for _, inst := range insts {
 		wg.Add(1)
 		go func(inst *serve.Instance) {
 			defer wg.Done()
-			lats := make([]time.Duration, 0, len(workload))
 			for _, batch := range workload {
-				t0 := time.Now()
 				h, err := inst.Ingest(ctx, batch, 0)
 				if err == nil {
 					err = h.Wait(ctx)
@@ -96,35 +88,20 @@ func serveLoadTrial(srv *serve.Server, instances int, workload [][]seq.Interacti
 					mu.Unlock()
 					return
 				}
-				lats = append(lats, time.Since(t0))
 			}
-			mu.Lock()
-			latencies = append(latencies, lats...)
-			mu.Unlock()
 		}(inst)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	if firstErr != nil {
-		return 0, nil, firstErr
+		return 0, firstErr
 	}
-	return elapsed, latencies, nil
-}
-
-func percentile(lats []time.Duration, p float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Slice(lats, func(i, k int) bool { return lats[i] < lats[k] })
-	idx := int(p * float64(len(lats)-1))
-	return float64(lats[idx].Microseconds()) / 1000
+	return elapsed, nil
 }
 
 // benchServeLoad measures the continuous-aggregation server under
 // concurrent load: instances × batches through the full admission →
-// (journal) → apply → ack path. The ephemeral side runs min-of-trials
-// for a stable gated ns/op; the durable side runs once and reports
-// throughput plus p50/p99 ack latency.
+// apply → ack path, the fastest of a few trials for a stable gated ns/op.
 func benchServeLoad() (serveLoadReport, error) {
 	const (
 		instances = 4
@@ -141,7 +118,7 @@ func benchServeLoad() (serveLoadReport, error) {
 		if err != nil {
 			return serveLoadReport{}, err
 		}
-		elapsed, _, err := serveLoadTrial(srv, instances, workload)
+		elapsed, err := serveLoadTrial(srv, instances, workload)
 		srv.Close()
 		if err != nil {
 			return serveLoadReport{}, fmt.Errorf("ephemeral trial: %w", err)
@@ -149,21 +126,6 @@ func benchServeLoad() (serveLoadReport, error) {
 		if elapsed < minEphemeral {
 			minEphemeral = elapsed
 		}
-	}
-
-	dir, err := os.MkdirTemp("", "dodabench-serve-")
-	if err != nil {
-		return serveLoadReport{}, err
-	}
-	defer os.RemoveAll(dir)
-	srv, err := serve.NewServer(serve.Options{Dir: dir})
-	if err != nil {
-		return serveLoadReport{}, err
-	}
-	durElapsed, lats, err := serveLoadTrial(srv, instances, workload)
-	srv.Close()
-	if err != nil {
-		return serveLoadReport{}, fmt.Errorf("durable trial: %w", err)
 	}
 
 	rep := serveLoadReport{
@@ -176,10 +138,5 @@ func benchServeLoad() (serveLoadReport, error) {
 		rep.EphemeralNsPerOp = float64(minEphemeral.Nanoseconds()) / float64(totalOps)
 		rep.EphemeralPerSec = float64(totalOps) / minEphemeral.Seconds()
 	}
-	if durElapsed > 0 {
-		rep.DurablePerSec = float64(totalOps) / durElapsed.Seconds()
-	}
-	rep.DurableP50Ms = percentile(lats, 0.50)
-	rep.DurableP99Ms = percentile(lats, 0.99)
 	return rep, nil
 }

@@ -196,29 +196,6 @@ func CountWords(words []uint64) int {
 	return c
 }
 
-// SelectWord returns the position of the k-th set bit (0-indexed) in a
-// raw word slice, or -1 when fewer than k+1 bits are set. This is the
-// rank-select primitive adaptive adversaries use to pick the k-th owner
-// without materializing a member list.
-func SelectWord(words []uint64, k int) int {
-	if k < 0 {
-		return -1
-	}
-	for wi, w := range words {
-		n := bits.OnesCount64(w)
-		if k >= n {
-			k -= n
-			continue
-		}
-		// Select the k-th set bit inside w by peeling low bits.
-		for ; k > 0; k-- {
-			w &= w - 1
-		}
-		return wi<<6 + bits.TrailingZeros64(w)
-	}
-	return -1
-}
-
 // String renders the set as {a,b,c}.
 func (s *Set) String() string {
 	var b strings.Builder

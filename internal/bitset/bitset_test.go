@@ -181,53 +181,6 @@ func TestWordsFor(t *testing.T) {
 	}
 }
 
-func TestSelectWord(t *testing.T) {
-	s := New(200)
-	members := []int{0, 1, 63, 64, 100, 127, 128, 199}
-	for _, m := range members {
-		s.Add(m)
-	}
-	w := s.Words()
-	for k, want := range members {
-		if got := SelectWord(w, k); got != want {
-			t.Errorf("SelectWord(k=%d) = %d, want %d", k, got, want)
-		}
-	}
-	if got := SelectWord(w, len(members)); got != -1 {
-		t.Errorf("SelectWord past end = %d, want -1", got)
-	}
-	if got := SelectWord(w, -1); got != -1 {
-		t.Errorf("SelectWord(-1) = %d, want -1", got)
-	}
-	if got := SelectWord(nil, 0); got != -1 {
-		t.Errorf("SelectWord(nil) = %d, want -1", got)
-	}
-}
-
-func TestQuickSelectMatchesMembers(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		n := src.Intn(300) + 1
-		s := New(n)
-		for i := 0; i < 60; i++ {
-			s.Add(src.Intn(n))
-		}
-		w := s.Words()
-		if CountWords(w) != s.Count() {
-			return false
-		}
-		for k, m := range s.Members() {
-			if SelectWord(w, k) != m {
-				return false
-			}
-		}
-		return SelectWord(w, s.Count()) == -1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickCountMatchesMembers(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
@@ -236,7 +189,7 @@ func TestQuickCountMatchesMembers(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			s.Add(src.Intn(n))
 		}
-		return s.Count() == len(s.Members())
+		return s.Count() == len(s.Members()) && CountWords(s.Words()) == s.Count()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

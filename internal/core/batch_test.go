@@ -33,9 +33,9 @@ func (a batchGenAdv) NextBatch(t int, _ ExecView, buf []seq.Interaction) int {
 	return len(buf)
 }
 
-// nextOnly embeds only Adversary, so it hides NextBatch and
-// NextCoarseBatch: the engine plays the wrapped adversary one Next call
-// at a time. It is the reference path of every differential test here.
+// nextOnly embeds only Adversary, so it hides NextBatch and NextOwned:
+// the engine plays the wrapped adversary one Next call at a time. It is
+// the reference path of every differential test here.
 type nextOnly struct{ Adversary }
 
 // hideBatch returns adv, or adv wrapped in nextOnly when hide is set.

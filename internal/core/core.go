@@ -11,7 +11,7 @@
 // Observer, or an EventSink records every interaction. Any other
 // interaction reaches no Decide and changes no state, so skipping it
 // leaves every Result as it was; the concurrent runtime in internal/sim
-// skips the same ones (see PrescreenBoth). Under the randomized
+// skips the same ones (see its prescreenBoth). Under the randomized
 // adversary most interactions are such: about 9 in 10 of Waiting's, and
 // over 98 in 100 of Gathering's.
 //
@@ -373,9 +373,7 @@ type Engine struct {
 	used bool
 
 	// ownWords mirrors owns as a packed bitset (bit u set iff owns[u]),
-	// maintained on every transfer. It backs the WordView contract that
-	// coarse-batching adversaries and the concurrent runtime's word-
-	// parallel prescreen read.
+	// maintained on every transfer. runScreened hands it to NextOwned.
 	ownWords []uint64
 
 	// Recycled storage, sized for the largest N seen so far. origins[i]
@@ -402,8 +400,6 @@ type Engine struct {
 	// stream.go.
 	str stream
 }
-
-var _ WordView = (*Engine)(nil)
 
 // NewEngine validates cfg and prepares an execution.
 func NewEngine(cfg Config) (*Engine, error) {
@@ -557,11 +553,6 @@ func (e *Engine) Owns(u graph.NodeID) bool {
 // OwnerCount returns the number of nodes owning data.
 func (e *Engine) OwnerCount() int { return e.nOwn }
 
-// OwnerWords returns the packed ownership bitset (bit u set iff node u
-// owns data). The slice aliases engine state: it is valid until the next
-// transfer or Reset and must not be mutated by callers.
-func (e *Engine) OwnerWords() []uint64 { return e.ownWords }
-
 // Env exposes the environment, mainly for tests and the concurrent
 // runtime, which shares algorithm state representation with the engine.
 func (e *Engine) Env() *Env { return e.env }
@@ -579,8 +570,8 @@ const batchSize = 512
 // The adversary's type alone picks the drain path: a ScreenedAdversary
 // hands over only interactions between two data owners (unless the
 // algorithm is an Observer or an EventSink is attached), a
-// BatchAdversary or CoarseBatchAdversary is drained through a reusable
-// buffer, any other adversary one Next call per interaction. The paths
+// BatchAdversary is drained through a reusable buffer, any other
+// adversary (every adaptive one) one Next call per interaction. The paths
 // produce identical Results; differential tests get the batched
 // reference by hiding NextOwned behind a wrapper that embeds only
 // BatchAdversary, and the one-at-a-time reference behind one that
@@ -615,14 +606,12 @@ func (e *Engine) Run(alg Algorithm, adv Adversary) (Result, error) {
 	switch a := adv.(type) {
 	case ScreenedAdversary:
 		if _, observes := alg.(Observer); observes || e.cfg.Events != nil || a.N() != e.cfg.N {
-			err = e.runBatched(alg, a, nil, &res)
+			err = e.runBatched(alg, a, &res)
 		} else {
 			err = e.runScreened(alg, a, &res)
 		}
 	case BatchAdversary:
-		err = e.runBatched(alg, a, nil, &res)
-	case CoarseBatchAdversary:
-		err = e.runBatched(alg, nil, a, &res)
+		err = e.runBatched(alg, a, &res)
 	default:
 		err = e.runScalar(alg, adv, &res)
 	}
@@ -670,22 +659,12 @@ func (e *Engine) runScalar(alg Algorithm, adv Adversary, res *Result) error {
 
 // runBatched drains the adversary through e.batch: one drain call and one
 // canonicalisation sweep per batchSize interactions, instead of an
-// interface dispatch plus a validating call per interaction. Exactly one
-// of ba and ca is non-nil. An oblivious drain (ba) is played whole. A
-// coarse drain (ca) was computed against the ownership state at drain
-// time, so after a transfer its unplayed tail is dropped and the
-// adversary is drained again from the new state; for a pure
-// CoarseBatchAdversary the played prefix is exactly what the scalar
-// path's Next calls would have returned.
-func (e *Engine) runBatched(alg Algorithm, ba BatchAdversary, ca CoarseBatchAdversary, res *Result) error {
+// interface dispatch plus a validating call per interaction.
+func (e *Engine) runBatched(alg Algorithm, adv BatchAdversary, res *Result) error {
 	observer, observes := alg.(Observer)
 	events := e.cfg.Events
 	if len(e.batch) == 0 {
 		e.batch = make([]seq.Interaction, batchSize)
-	}
-	var adv Adversary = ba
-	if ca != nil {
-		adv = ca
 	}
 	n := e.cfg.N
 	for t := 0; t < e.cfg.MaxInteractions; {
@@ -693,17 +672,10 @@ func (e *Engine) runBatched(alg Algorithm, ba BatchAdversary, ca CoarseBatchAdve
 		if rem := e.cfg.MaxInteractions - t; rem < want {
 			want = rem
 		}
-		var got int
-		if ca != nil {
-			got = ca.NextCoarseBatch(t, e, e.batch[:want])
-		} else {
-			got = ba.NextBatch(t, e, e.batch[:want])
-		}
+		got := adv.NextBatch(t, e, e.batch[:want])
 		if got < 0 || got > want {
 			return fmt.Errorf("core: adversary %s returned %d interactions for a %d-slot batch", adv.Name(), got, want)
 		}
-		ownBefore := e.nOwn
-		played := got
 		for i := 0; i < got; i++ {
 			canon, ok := seq.Canon(e.batch[i], n)
 			if !ok {
@@ -717,19 +689,11 @@ func (e *Engine) runBatched(alg Algorithm, ba BatchAdversary, ca CoarseBatchAdve
 			if err != nil || done {
 				return err
 			}
-			if ca != nil && e.nOwn != ownBefore {
-				played = i + 1
-				break
-			}
 		}
-		t += played
-		// A short drain means the sequence is exhausted. A coarse drain
-		// declared that under the drain-time ownership state, so it ends
-		// the run only if no transfer happened inside the drain; after a
-		// transfer (even on the drain's last interaction) drain again.
-		if got < want && (ca == nil || e.nOwn == ownBefore) {
-			return nil
+		if got < want {
+			return nil // adversary exhausted its (finite) sequence
 		}
+		t += got
 	}
 	return nil
 }
@@ -777,7 +741,7 @@ func (e *Engine) runScreened(alg Algorithm, adv ScreenedAdversary, res *Result) 
 // which the loops count themselves; and it cannot end the run, since the
 // step before it left the run going. Only an Observer, which sees every
 // interaction, or an EventSink, which records it, needs step for it.
-// The sim's scheduler skips the same interactions (see PrescreenBoth).
+// The sim's scheduler skips the same interactions (see its prescreenBoth).
 func (e *Engine) plays(canon seq.Interaction, observes bool, events EventSink) bool {
 	return e.owns[canon.U] && e.owns[canon.V] || observes || events != nil
 }

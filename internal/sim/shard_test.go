@@ -3,10 +3,10 @@ package sim
 // Differential acceptance suite for the sharded scheduler: the runtime
 // must produce core.Engine's exact Result for every registry scenario,
 // every provenance mode, every shard count, observer algorithms, and
-// coarse-state adaptive adversaries — at sizes large enough that node
-// state spans several shards and several ownership words. The whole
-// suite runs in CI's race-detector job, which is what certifies the
-// slot protocol's release/acquire discipline.
+// adaptive adversaries played one Next at a time — at sizes large enough
+// that node state spans several shards and several ownership words. The
+// whole suite runs in CI's race-detector job, which is what certifies
+// the slot protocol's release/acquire discipline.
 
 import (
 	"bytes"
@@ -18,6 +18,7 @@ import (
 	"doda/internal/adversary"
 	"doda/internal/algorithms"
 	"doda/internal/core"
+	"doda/internal/graph"
 	"doda/internal/knowledge"
 	"doda/internal/rng"
 	"doda/internal/scenario"
@@ -187,10 +188,58 @@ func TestSimObserverMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestSimCoarseMatchesEngine checks the scheduler's coarse drain-replay
-// path (adaptive adversaries reading only coarse ownership state)
-// against both the sim's own scalar path and the engine.
-func TestSimCoarseMatchesEngine(t *testing.T) {
+// mix64 is the splitmix64 finalizer: ownerPairAdv derives its per-t
+// randomness from (seed, t) through it.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// ownerPairAdv is an adaptive adversary with only a Next method: at each
+// t it emits a pseudo-random pair of distinct current data owners, their
+// ranks drawn from (seed, t) and resolved by a linear scan of Owns. The
+// engine and the runtime both play it one Next at a time, each handing
+// it its own ownership view.
+type ownerPairAdv struct{ seed uint64 }
+
+func (ownerPairAdv) Name() string { return "owner-pairs" }
+
+func (a ownerPairAdv) Next(t int, view core.ExecView) (seq.Interaction, bool) {
+	nOwn := view.OwnerCount()
+	if nOwn < 2 {
+		return seq.Interaction{}, false
+	}
+	h := mix64(a.seed ^ uint64(t)*0x9e3779b97f4a7c15)
+	i := int(h % uint64(nOwn))
+	j := int((h >> 32) % uint64(nOwn-1))
+	if j >= i {
+		j++
+	}
+	var it seq.Interaction
+	for u, rank := graph.NodeID(0), 0; rank <= max(i, j); u++ {
+		if !view.Owns(u) {
+			continue
+		}
+		if rank == i {
+			it.U = u
+		}
+		if rank == j {
+			it.V = u
+		}
+		rank++
+	}
+	return it, true
+}
+
+// TestSimAdaptiveMatchesEngine checks the scheduler's one-Next path
+// against the engine's over ownerPairAdv, at a size where node state
+// spans several shards: gathering transfers on every interaction, and
+// waiting declines most of them.
+func TestSimAdaptiveMatchesEngine(t *testing.T) {
 	const n = 70
 	for _, tc := range []struct {
 		name string
@@ -201,34 +250,35 @@ func TestSimCoarseMatchesEngine(t *testing.T) {
 	} {
 		eng, err := core.RunOnce(core.Config{
 			N: n, MaxInteractions: 1 << 18, VerifyAggregate: true,
-		}, tc.alg(), nextOnly{adversary.NewAdaptiveOwners(5)})
+		}, tc.alg(), ownerPairAdv{seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, disable := range []bool{false, true} {
-			rt, err := NewRuntime(Config{N: n, MaxInteractions: 1 << 18})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := rt.Run(tc.alg(), hideBatch(disable, adversary.NewAdaptiveOwners(5)))
-			rt.Close()
-			if err != nil {
-				t.Fatalf("%s disable=%v: %v", tc.name, disable, err)
-			}
-			sameRes(t, fmt.Sprintf("%s disable=%v", tc.name, disable), eng, res)
+		if !eng.Terminated {
+			t.Fatalf("%s: engine did not terminate: %+v", tc.name, eng)
 		}
+		rt, err := NewRuntime(Config{N: n, MaxInteractions: 1 << 18, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rt.Run(tc.alg(), ownerPairAdv{seed: 5})
+		rt.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sameRes(t, tc.name, eng, res)
 	}
 }
 
-// stateBoundAdv mirrors the engine coarse suite's trickiest fixture: it
-// emits {0,1} while t < 3 under full ownership and {0,2} while t < 6
-// once any transfer happened — pure in (t, owner count), with an
-// exhaustion point that *moves* when ownership changes.
+// stateBoundAdv emits {0,1} while t < 3 under full ownership and {0,2}
+// while t < 6 once any transfer happened: an adversary reading only the
+// coarse ownership state (the owner count), whose exhaustion point moves
+// when ownership changes.
 type stateBoundAdv struct{}
 
 func (stateBoundAdv) Name() string { return "state-bound" }
-func (a stateBoundAdv) pick(t, n, nOwn int) (seq.Interaction, bool) {
-	if nOwn == n {
+func (stateBoundAdv) Next(t int, view core.ExecView) (seq.Interaction, bool) {
+	if view.OwnerCount() == view.N() {
 		if t >= 3 {
 			return seq.Interaction{}, false
 		}
@@ -238,20 +288,6 @@ func (a stateBoundAdv) pick(t, n, nOwn int) (seq.Interaction, bool) {
 		return seq.Interaction{}, false
 	}
 	return seq.Interaction{U: 0, V: 2}, true
-}
-func (a stateBoundAdv) Next(t int, view core.ExecView) (seq.Interaction, bool) {
-	return a.pick(t, view.N(), view.OwnerCount())
-}
-func (a stateBoundAdv) NextCoarseBatch(t int, view core.WordView, buf []seq.Interaction) int {
-	k := 0
-	for ; k < len(buf); k++ {
-		it, ok := a.pick(t+k, view.N(), view.OwnerCount())
-		if !ok {
-			break
-		}
-		buf[k] = it
-	}
-	return k
 }
 
 // transferAtAlg transfers to the first endpoint exactly at time `at`.
@@ -267,24 +303,22 @@ func (a transferAtAlg) Decide(_ *core.Env, _ seq.Interaction, t int) core.Decisi
 	return core.NoTransfer
 }
 
-// TestSimCoarseExhaustionAfterFinalTransfer pins the coarse loop's
-// subtlest window in the sim scheduler: exhaustion declared by a short
-// batch whose last interaction is the transfer that invalidates the
-// claim — the scheduler must re-drain, like Engine.Run does.
+// TestSimCoarseExhaustionAfterFinalTransfer pins that the scheduler asks
+// again after the transfer that moves stateBoundAdv's end, as
+// core.Engine.Run does: the transfer at t=2 is the last interaction the
+// full-ownership state allows, and three more follow it.
 func TestSimCoarseExhaustionAfterFinalTransfer(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		rt, err := NewRuntime(Config{N: 8, MaxInteractions: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := rt.Run(transferAtAlg{at: 2}, hideBatch(disable, stateBoundAdv{}))
-		rt.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Interactions != 6 || res.Transmissions != 1 || res.Declined != 5 {
-			t.Errorf("disable=%v: %+v", disable, res)
-		}
+	rt, err := NewRuntime(Config{N: 8, MaxInteractions: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run(transferAtAlg{at: 2}, stateBoundAdv{})
+	rt.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Interactions != 6 || res.Transmissions != 1 || res.Declined != 5 {
+		t.Errorf("%+v", res)
 	}
 }
 
@@ -370,8 +404,10 @@ func TestSimOverUniformEqualsScreenedEngine(t *testing.T) {
 
 // FuzzSimVsEngine fuzzes the engine/sim differential over seeds, sizes
 // and provenance modes — the concurrent mirror of the engine's
-// FuzzBatchedVsScalar — on the batched engine path and, over
-// adversary.Uniform, the screened one.
+// FuzzBatchedVsScalar. It covers both of the sim's paths: the batched
+// one, against the engine's batched path and, over adversary.Uniform,
+// its screened one; and the one-Next path, over ownerPairAdv, against
+// the engine's one-Next path.
 func FuzzSimVsEngine(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(0))
 	f.Add(uint64(2), uint8(3), uint8(1))
@@ -420,5 +456,26 @@ func FuzzSimVsEngine(f *testing.F) {
 		sameRes(t, label, eng, res)
 		sameRes(t, label+" over adversary.Uniform", screened, overUniform)
 		sameRes(t, label+" screened engine", screened, eng)
+
+		// An adaptive adversary: both sides play it one Next at a time.
+		for _, alg := range []func() core.Algorithm{
+			func() core.Algorithm { return algorithms.NewGathering() },
+			func() core.Algorithm { return algorithms.Waiting{} },
+		} {
+			engNext, err := core.RunOnce(cfg, alg(), ownerPairAdv{seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := NewRuntime(Config{N: n, MaxInteractions: cap, Provenance: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			simNext, err := rt.Run(alg(), ownerPairAdv{seed: seed})
+			rt.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRes(t, label+" one Next over "+engNext.Algorithm, engNext, simNext)
+		}
 	})
 }

@@ -32,6 +32,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -95,7 +96,7 @@ type Runtime struct {
 	// Scheduler-side integrated view: ownWords mirrors owns as a packed
 	// bitset and nOwn counts owners, both updated as dispatched slots
 	// are integrated in interaction order. They back the adversary's
-	// ExecView/WordView and the batch prescreen.
+	// ExecView and the batch prescreen.
 	ownWords []uint64
 	nOwn     int
 	used     bool
@@ -129,10 +130,7 @@ type Runtime struct {
 	turn atomic.Int32
 }
 
-var (
-	_ core.ExecView = (*Runtime)(nil)
-	_ core.WordView = (*Runtime)(nil)
-)
+var _ core.ExecView = (*Runtime)(nil)
 
 // NewRuntime validates cfg and prepares a run. Workers are spawned
 // lazily on the first Run.
@@ -305,10 +303,6 @@ func (rt *Runtime) Owns(u graph.NodeID) bool {
 // OwnerCount implements core.ExecView.
 func (rt *Runtime) OwnerCount() int { return rt.nOwn }
 
-// OwnerWords implements core.WordView. The slice aliases live scheduler
-// state: valid until the next integrated transfer, and read-only.
-func (rt *Runtime) OwnerWords() []uint64 { return rt.ownWords }
-
 // shardOf maps a node id to the worker owning its state.
 func (rt *Runtime) shardOf(u graph.NodeID) int {
 	return int(u) * rt.nShards / rt.cfg.N
@@ -316,9 +310,8 @@ func (rt *Runtime) shardOf(u graph.NodeID) int {
 
 // Run plays alg against adv on the shard fleet. As in core.Engine.Run,
 // the adversary's type alone picks the path: batchable (oblivious)
-// adversaries are drained through the prescreened batch path,
-// coarse-state adaptive adversaries through a drain-replay loop,
-// everything else one Next at a time.
+// adversaries are drained through the prescreened batch path, everything
+// else (every adaptive adversary) one Next at a time.
 func (rt *Runtime) Run(alg core.Algorithm, adv core.Adversary) (core.Result, error) {
 	if alg == nil || adv == nil {
 		return core.Result{}, fmt.Errorf("sim: nil algorithm or adversary")
@@ -350,8 +343,6 @@ func (rt *Runtime) Run(alg core.Algorithm, adv core.Adversary) (core.Result, err
 	switch a := adv.(type) {
 	case core.BatchAdversary:
 		err = rt.runBatchedSim(a, &res)
-	case core.CoarseBatchAdversary:
-		err = rt.runCoarseSim(a, &res)
 	default:
 		err = rt.runScalarSim(adv, &res)
 	}
@@ -388,7 +379,7 @@ func (rt *Runtime) adaptiveBatchLen(remaining int) int {
 	return w
 }
 
-// runScalarSim is the one-Next-per-interaction loop for fully adaptive
+// runScalarSim is the one-Next-per-interaction loop for adaptive
 // adversaries.
 func (rt *Runtime) runScalarSim(adv core.Adversary, res *core.Result) error {
 	for t := 0; t < rt.cfg.MaxInteractions; t++ {
@@ -428,49 +419,6 @@ func (rt *Runtime) runBatchedSim(ba core.BatchAdversary, res *core.Result) error
 	return nil
 }
 
-// runCoarseSim drains a coarse-state adaptive adversary and replays the
-// drain one interaction at a time until the ownership state changes,
-// then re-drains — the sim-side mirror of the engine's coarse drains. Unlike the
-// oblivious path the tail of a drained batch is only hypothetically
-// valid (the adversary would emit different interactions after a
-// transfer), so interactions past the first ownership change must never
-// be dispatched: node state they mutated could not be taken back.
-func (rt *Runtime) runCoarseSim(ca core.CoarseBatchAdversary, res *core.Result) error {
-	for t := 0; t < rt.cfg.MaxInteractions; {
-		want := simMaxBatch
-		if rem := rt.cfg.MaxInteractions - t; rem < want {
-			want = rem
-		}
-		got := ca.NextCoarseBatch(t, rt, rt.batch[:want])
-		if got < 0 || got > want {
-			return fmt.Errorf("sim: adversary %s returned %d interactions for a %d-slot batch", rt.advName, got, want)
-		}
-		if got == 0 {
-			return nil // exhausted under the current state
-		}
-		ownBefore := rt.nOwn
-		consumed := got
-		for i := 0; i < got; i++ {
-			stop, err := rt.playOne(t+i, rt.batch[i], res)
-			if err != nil || stop {
-				return err
-			}
-			if rt.nOwn != ownBefore {
-				consumed = i + 1
-				break
-			}
-		}
-		t += consumed
-		if consumed == got && got < want && rt.nOwn == ownBefore {
-			// Exhaustion was declared under a state that still holds; a
-			// transfer on the batch's last interaction instead falls
-			// through and re-drains (see Engine.runBatched).
-			return nil
-		}
-	}
-	return nil
-}
-
 // playBatch validates, prescreens, dispatches and integrates one
 // drained batch. It returns stop=true when the run ended inside the
 // batch. A malformed interaction at position p truncates the batch: the
@@ -496,11 +444,11 @@ func (rt *Runtime) playBatch(start, blen int, res *core.Result) (bool, error) {
 
 	// Prescreen against the ownership words at batch start: monotone
 	// ownership makes the screen sound for the whole batch (see
-	// core.PrescreenBoth). Observer algorithms see every interaction,
-	// so for them every position is dispatched.
+	// prescreenBoth). Observer algorithms see every interaction, so for
+	// them every position is dispatched.
 	active := valid
 	if !rt.obsAll {
-		active = core.PrescreenBoth(rt.ownWords, batch, rt.mask)
+		active = prescreenBoth(rt.ownWords, batch, rt.mask)
 	}
 
 	if active > 0 {
@@ -543,6 +491,43 @@ func (rt *Runtime) playBatch(start, blen int, res *core.Result) (bool, error) {
 		}
 	}
 	return pendErr != nil, pendErr
+}
+
+// prescreenBoth computes, word-parallel over the ownership bitset, which
+// interactions of batch still have both endpoints owning data. Bit i of
+// mask is set iff batch[i] is "active"; tail bits beyond len(batch) are
+// zeroed. It returns the number of active interactions.
+//
+// Ownership is monotone within a run (true → false only), so a batch
+// prescreened against the state at drain time stays sound as the batch
+// is consumed: an interaction screened out now can never become active
+// later. Screened-out interactions still count as interactions — they
+// are no-ops for every algorithm because Decide is only consulted when
+// both endpoints own data — which is what makes it sound to skip their
+// dispatch entirely. core.Engine skips the same interactions, one at a
+// time, in its own loops (Engine.plays). Observer algorithms see every
+// interaction and must not be prescreened; playBatch gates on that.
+//
+// mask must have at least (len(batch)+63)/64 words. words is indexed by
+// node id; batch is canonical and in range.
+func prescreenBoth(words []uint64, batch []seq.Interaction, mask []uint64) int {
+	active := 0
+	for base := 0; base < len(batch); base += 64 {
+		end := len(batch) - base
+		if end > 64 {
+			end = 64
+		}
+		var m uint64
+		for i := 0; i < end; i++ {
+			it := batch[base+i]
+			if bitset.TestWord(words, int(it.U)) && bitset.TestWord(words, int(it.V)) {
+				m |= 1 << uint(i)
+			}
+		}
+		mask[base>>6] = m
+		active += bits.OnesCount64(m)
+	}
+	return active
 }
 
 // playOne validates and plays a single interaction: inactive ones are

@@ -7,7 +7,9 @@ import (
 
 	"doda/internal/adversary"
 	"doda/internal/algorithms"
+	"doda/internal/bitset"
 	"doda/internal/core"
+	"doda/internal/graph"
 	"doda/internal/knowledge"
 	"doda/internal/rng"
 	"doda/internal/seq"
@@ -229,8 +231,8 @@ func TestRuntimeSequenceExhaustion(t *testing.T) {
 }
 
 // nextOnly embeds only core.Adversary, so it hides NextBatch and
-// NextCoarseBatch: the runtime and the engine play the wrapped adversary
-// one Next call at a time. It is the reference path of the differential
+// NextOwned: the runtime and the engine play the wrapped adversary one
+// Next call at a time. It is the reference path of the differential
 // tests.
 type nextOnly struct{ core.Adversary }
 
@@ -306,5 +308,52 @@ func TestRuntimeProvenanceModes(t *testing.T) {
 	}
 	if _, err := NewRuntime(Config{N: 4, MaxInteractions: 10, Provenance: core.ProvenanceMode(7)}); err == nil {
 		t.Error("invalid provenance mode must be rejected")
+	}
+}
+
+// TestPrescreenMatchesOwns checks the word-parallel prescreen against the
+// naive both-own test across batch lengths straddling word boundaries.
+func TestPrescreenMatchesOwns(t *testing.T) {
+	const n = 130
+	src := rng.New(21)
+	owns := bitset.New(n)
+	for i := 0; i < n; i++ {
+		if src.Intn(2) == 0 {
+			owns.Add(i)
+		}
+	}
+	words := owns.Words()
+	for _, blen := range []int{0, 1, 63, 64, 65, 128, 200} {
+		batch := make([]seq.Interaction, blen)
+		for i := range batch {
+			u, v := src.Pair(n)
+			batch[i] = seq.Interaction{U: graph.NodeID(u), V: graph.NodeID(v)}
+		}
+		mask := make([]uint64, (blen+63)/64+1)
+		mask[len(mask)-1] = ^uint64(0) // canary: must not be touched
+		active := prescreenBoth(words, batch, mask[:(blen+63)/64])
+		want := 0
+		for i, it := range batch {
+			both := owns.Has(int(it.U)) && owns.Has(int(it.V))
+			if both {
+				want++
+			}
+			if got := mask[i>>6]&(1<<(uint(i)&63)) != 0; got != both {
+				t.Errorf("blen=%d: mask bit %d = %v, want %v", blen, i, got, both)
+			}
+		}
+		if active != want {
+			t.Errorf("blen=%d: active = %d, want %d", blen, active, want)
+		}
+		if mask[len(mask)-1] != ^uint64(0) {
+			t.Errorf("blen=%d: canary word overwritten", blen)
+		}
+		// Tail bits beyond len(batch) in the last used word must be zero.
+		if blen%64 != 0 {
+			last := mask[(blen-1)>>6]
+			if last>>(uint(blen)&63) != 0 {
+				t.Errorf("blen=%d: tail bits set in %#x", blen, last)
+			}
+		}
 	}
 }

@@ -79,8 +79,8 @@ func TestBatchedSweepEqualsScalarSweep(t *testing.T) {
 }
 
 // nextOnly embeds only core.Adversary, so it hides NextBatch and
-// NextCoarseBatch: the engine plays the wrapped adversary one Next call
-// at a time, the reference path of the differential tests.
+// NextOwned: the engine plays the wrapped adversary one Next call at a
+// time, the reference path of the differential tests.
 type nextOnly struct{ core.Adversary }
 
 func hideBatch(adv core.Adversary) core.Adversary { return nextOnly{adv} }
