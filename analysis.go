@@ -19,17 +19,11 @@ type (
 	// SweepAnalysisOptions tunes the bootstrap resampling behind the
 	// confidence intervals.
 	SweepAnalysisOptions = analysis.Options
-	// SweepGroupFit is one (scenario, algorithm) group's points and
-	// candidate-model fit.
-	SweepGroupFit = analysis.GroupFit
 	// ScalingLawFit is a candidate-set fit over one point set: every
 	// model's fit plus the AIC/BIC selection.
 	ScalingLawFit = analysis.LawFit
-	// ScalingModelFit is one candidate's fit (scale constant, free
-	// exponent where applicable, bootstrap CIs, information criteria).
-	ScalingModelFit = analysis.ModelFit
-	// SweepTrend is a single-parameter monotonicity test (Kendall τ).
-	SweepTrend = analysis.Trend
+	// SweepCellResult is one completed sweep cell's statistics.
+	SweepCellResult = sweep.CellResult
 )
 
 // AnalyzeSweep extracts scaling laws from completed sweep cells: groups
@@ -44,7 +38,7 @@ func AnalyzeSweep(results []SweepCellResult, opt SweepAnalysisOptions) (*SweepAn
 
 // AnalyzeSweepCheckpoint analyzes the checkpoint directories of a
 // completed sweep — one unsharded checkpoint or a whole shard fleet —
-// after validating them exactly as MergeSweepCheckpoints would.
+// after validating them exactly as `dodasweep merge` does.
 func AnalyzeSweepCheckpoint(dirs []string, opt SweepAnalysisOptions) (*SweepAnalysis, error) {
 	return analysis.AnalyzeCheckpoint(dirs, opt)
 }

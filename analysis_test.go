@@ -8,20 +8,21 @@ import (
 	"testing"
 
 	"doda"
+	"doda/internal/sweep"
 )
 
 // TestAnalyzeSweepThroughRootAPI drives the whole analysis surface as a
-// library user would: run a sweep, extract scaling laws, render the
-// report — without touching internal/.
+// library user would: extract scaling laws from a sweep's results,
+// render the report, and read the results back from their JSONL stream.
 func TestAnalyzeSweepThroughRootAPI(t *testing.T) {
-	grid := doda.SweepGrid{
-		Scenarios:  []doda.SweepScenario{{Name: "uniform"}},
+	grid := sweep.Grid{
+		Scenarios:  []sweep.ScenarioRef{{Name: "uniform"}},
 		Algorithms: []string{"gathering"},
 		Sizes:      []int{12, 16, 24, 32},
 		Replicas:   8,
 		Seed:       3,
 	}
-	results, _, err := doda.RunSweep(grid, doda.SweepOptions{})
+	results, _, err := sweep.Run(grid, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestAnalyzeSweepThroughRootAPI(t *testing.T) {
 	// Round-trip through the JSONL stream reader.
 	var stream bytes.Buffer
 	enc := json.NewEncoder(&stream)
-	_, _, err = doda.RunSweep(grid, doda.SweepOptions{OnResult: func(r doda.SweepCellResult) error {
+	_, _, err = sweep.Run(grid, sweep.Options{OnResult: func(r doda.SweepCellResult) error {
 		return enc.Encode(r)
 	}})
 	if err != nil {

@@ -1,6 +1,6 @@
 package doda
 
-// Benchmark harness: one Benchmark per experiment in DESIGN.md's index.
+// Benchmark harness: one Benchmark per experiment in EXPERIMENTS.md's index.
 // Each benchmark measures the core workload that regenerates the
 // corresponding paper result (the full sweeps live in
 // `go run ./cmd/dodabench`); b.ReportMetric exposes the model-level

@@ -192,7 +192,11 @@ func run(args []string) error {
 
 	var res doda.Result
 	if *conc {
-		rt, err := doda.NewRuntime(doda.RuntimeConfig{N: *n, MaxInteractions: cap, Know: know})
+		rcfg := doda.RuntimeConfig{N: *n, MaxInteractions: cap, Know: know}
+		if rec != nil {
+			rcfg.Events = rec
+		}
+		rt, err := doda.NewRuntime(rcfg)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,6 +72,36 @@ func TestRunTraceOutput(t *testing.T) {
 	}
 	if info.Size() == 0 {
 		t.Error("empty trace file")
+	}
+}
+
+// TestRunConcurrentTraceMatchesSequential checks that -concurrent records
+// the same trace as the sequential engine: the runtime delivers events in
+// interaction order, so the two files must be byte-identical.
+func TestRunConcurrentTraceMatchesSequential(t *testing.T) {
+	dir := t.TempDir()
+	seqPath := filepath.Join(dir, "seq.jsonl")
+	concPath := filepath.Join(dir, "conc.jsonl")
+	args := []string{"-n", "16", "-alg", "gathering", "-seed", "3"}
+	if err := run(append(args, "-trace", seqPath)); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-concurrent", "-trace", concPath)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(seqPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(concPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("empty sequential trace")
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("concurrent trace (%d bytes) differs from the sequential one (%d bytes)", len(got), len(want))
 	}
 }
 

@@ -21,9 +21,10 @@
 //   - knowledge oracles (meetTime, future, underlying graph, full
 //     sequence),
 //   - the offline-optimum machinery: opt(t), the successive-convergecast
-//     clock T(i) and the paper's cost function, and
-//   - an experiment harness (E1–E14, A1–A2) that regenerates every
-//     quantitative result in the paper; see EXPERIMENTS.md.
+//     clock T(i) and the paper's cost function.
+//
+// The experiment harness that regenerates every quantitative result in
+// the paper is the cmd/dodabench command; see EXPERIMENTS.md.
 //
 // Quick start:
 //
@@ -39,7 +40,6 @@ import (
 	"doda/internal/agg"
 	"doda/internal/algorithms"
 	"doda/internal/core"
-	"doda/internal/experiments"
 	"doda/internal/graph"
 	"doda/internal/knowledge"
 	"doda/internal/offline"
@@ -55,8 +55,6 @@ type (
 	NodeID = graph.NodeID
 	// Interaction is one pairwise interaction {U, V} with U < V.
 	Interaction = seq.Interaction
-	// TimedStep is an entry of a node's future: (time, partner).
-	TimedStep = seq.TimedStep
 	// Sequence is a finite interaction sequence.
 	Sequence = seq.Sequence
 	// Stream is an unbounded, lazily materialised interaction sequence.
@@ -75,31 +73,14 @@ type (
 	Algorithm = core.Algorithm
 	// Adversary produces the interaction sequence.
 	Adversary = core.Adversary
-	// BatchAdversary is the optional batched extension every oblivious
-	// adversary implements: the engine drains whole interaction buffers
-	// instead of making one Next call per interaction.
-	BatchAdversary = core.BatchAdversary
-	// ProvenanceMode selects how much per-datum provenance a run
-	// maintains (full bitsets, counts only, or nothing).
-	ProvenanceMode = core.ProvenanceMode
-	// Decision is an algorithm's per-interaction output.
-	Decision = core.Decision
 	// Config parameterises an execution.
 	Config = core.Config
 	// Result summarises an execution.
 	Result = core.Result
-	// Env is the environment passed to algorithms.
-	Env = core.Env
-	// Event is a traced interaction.
-	Event = core.Event
 	// Knowledge is the set of oracles granted to nodes.
 	Knowledge = knowledge.Bundle
 	// KnowledgeOption grants one oracle.
 	KnowledgeOption = knowledge.Option
-	// AggFunc is a commutative, associative aggregation function.
-	AggFunc = agg.Func
-	// Value is a datum with provenance.
-	Value = agg.Value
 	// Schedule is an optimal offline convergecast plan.
 	Schedule = offline.Schedule
 	// Clock iterates the successive-convergecast times T(i).
@@ -110,60 +91,14 @@ type (
 	RuntimeConfig = sim.Config
 	// TraceRecorder records executions as replayable event streams.
 	TraceRecorder = trace.Recorder
-	// Experiment is one paper-result reproduction.
-	Experiment = experiments.Experiment
-	// ExperimentConfig parameterises an experiment run.
-	ExperimentConfig = experiments.Config
-	// ExperimentReport is an experiment's outcome.
-	ExperimentReport = experiments.Report
 )
-
-// Decision values.
-const (
-	// NoTransfer is the paper's ⊥ output: nobody transmits.
-	NoTransfer = core.NoTransfer
-	// FirstReceives designates the smaller-identifier endpoint as
-	// receiver.
-	FirstReceives = core.FirstReceives
-	// SecondReceives designates the larger-identifier endpoint as
-	// receiver.
-	SecondReceives = core.SecondReceives
-)
-
-// Experiment scales.
-const (
-	// ScaleQuick runs small sweeps (seconds).
-	ScaleQuick = experiments.ScaleQuick
-	// ScaleFull runs the EXPERIMENTS.md sweeps (minutes).
-	ScaleFull = experiments.ScaleFull
-)
-
-// Provenance modes (see core.ProvenanceMode for the exact semantics).
-const (
-	// ProvenanceFull tracks and verifies per-datum origin bitsets.
-	ProvenanceFull = core.ProvenanceFull
-	// ProvenanceCount keeps only fold counts (no bitsets, no overlap
-	// detection) — the large-n measurement mode.
-	ProvenanceCount = core.ProvenanceCount
-	// ProvenanceOff skips end-of-run sink verification entirely.
-	ProvenanceOff = core.ProvenanceOff
-)
-
-// ParseProvenanceMode parses "full", "count" or "off".
-func ParseProvenanceMode(s string) (ProvenanceMode, error) {
-	return core.ParseProvenanceMode(s)
-}
 
 // Aggregation functions.
 var (
 	// Min keeps the smallest payload.
 	Min = agg.Min
-	// Max keeps the largest payload.
-	Max = agg.Max
 	// Sum adds payloads.
 	Sum = agg.Sum
-	// Count counts aggregated data.
-	Count = agg.Count
 )
 
 // Run executes one algorithm against one adversary on the sequential
@@ -244,18 +179,6 @@ func WeightedAdversary(weights []float64, seed uint64) (Adversary, *Stream, erro
 	return adversary.Weighted(weights, seed)
 }
 
-// ZipfWeights returns w_i = (i+1)^-alpha, a standard skewed contact
-// distribution for WeightedAdversary (node 0 heaviest).
-func ZipfWeights(n int, alpha float64) ([]float64, error) {
-	return adversary.ZipfWeights(n, alpha)
-}
-
-// SinkScaledWeights returns uniform weights with the sink's weight
-// multiplied by factor, for WeightedAdversary.
-func SinkScaledWeights(n int, sink NodeID, factor float64) ([]float64, error) {
-	return adversary.SinkScaledWeights(n, sink, factor)
-}
-
 // Theorem1Adversary returns the adaptive adversary that defeats every
 // DODA algorithm on 3 nodes (Theorem 1).
 func Theorem1Adversary(sink NodeID) (Adversary, error) {
@@ -327,23 +250,7 @@ func NewSequence(n int, steps []Interaction) (*Sequence, error) {
 	return seq.NewSequence(n, steps)
 }
 
-// NewStream wraps a generator as an unbounded lazy sequence.
-func NewStream(n int, gen func(t int) Interaction) (*Stream, error) {
-	return seq.NewStream(n, gen)
-}
-
-// Pair returns the canonical interaction {a, b}.
-func Pair(a, b NodeID) (Interaction, error) { return seq.NewInteraction(a, b) }
-
 // Tracing.
 
 // NewTraceRecorder returns an event recorder to plug into Config.Events.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
-
-// Experiments.
-
-// Experiments returns every paper-result reproduction (E1–E14, A1–A2).
-func Experiments() []Experiment { return experiments.All() }
-
-// ExperimentByID finds an experiment ("E10", "a2", ...).
-func ExperimentByID(id string) (Experiment, bool) { return experiments.ByID(id) }

@@ -2,6 +2,11 @@ package doda
 
 import (
 	"testing"
+
+	"doda/internal/adversary"
+	"doda/internal/core"
+	"doda/internal/experiments"
+	"doda/internal/seq"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -103,19 +108,19 @@ func TestTraceFlow(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	if len(Experiments()) != 20 {
-		t.Errorf("got %d experiments", len(Experiments()))
+	if len(experiments.All()) != 20 {
+		t.Errorf("got %d experiments", len(experiments.All()))
 	}
-	if _, ok := ExperimentByID("E8"); !ok {
+	if _, ok := experiments.ByID("E8"); !ok {
 		t.Error("E8 missing")
 	}
-	if _, ok := ExperimentByID("S1"); !ok {
+	if _, ok := experiments.ByID("S1"); !ok {
 		t.Error("S1 missing")
 	}
 }
 
 func TestPairAndSequence(t *testing.T) {
-	it, err := Pair(3, 1)
+	it, err := seq.NewInteraction(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +134,7 @@ func TestPairAndSequence(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if _, err := Pair(2, 2); err == nil {
+	if _, err := seq.NewInteraction(2, 2); err == nil {
 		t.Error("self pair should fail")
 	}
 }
@@ -152,23 +157,24 @@ func TestRuntimeFacade(t *testing.T) {
 	}
 }
 
-// TestProvenanceFacade exercises the provenance-mode and batched-path
-// re-exports through the root package.
+// TestProvenanceFacade runs a count-only, batched execution through the
+// root package's Run.
 func TestProvenanceFacade(t *testing.T) {
-	mode, err := ParseProvenanceMode("count")
-	if err != nil || mode != ProvenanceCount {
+	mode, err := core.ParseProvenanceMode("count")
+	if err != nil || mode != core.ProvenanceCount {
 		t.Fatalf("ParseProvenanceMode = %v, %v", mode, err)
 	}
-	adv, err := NewGeneratedAdversary("star", 16, func(t int) Interaction {
+	var adv Adversary
+	adv, err = adversary.NewGenerated("star", 16, func(t int) Interaction {
 		return Interaction{U: 0, V: NodeID(1 + t%15)}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := adv.(BatchAdversary); !ok {
+	if _, ok := adv.(core.BatchAdversary); !ok {
 		t.Fatal("generated adversaries must support batching")
 	}
-	res, err := Run(Config{N: 16, MaxInteractions: 1 << 16, Provenance: ProvenanceCount}, NewGathering(), adv)
+	res, err := Run(Config{N: 16, MaxInteractions: 1 << 16, Provenance: core.ProvenanceCount}, NewGathering(), adv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"doda"
+	"doda/internal/adversary"
+	"doda/internal/experiments"
+	"doda/internal/seq"
 	"doda/internal/trace"
 )
 
@@ -104,7 +107,7 @@ func TestPipelineFullKnowledgeBeatsEveryone(t *testing.T) {
 
 func TestPipelineWeightedAdversary(t *testing.T) {
 	const n = 24
-	ws, err := doda.ZipfWeights(n, 0.8)
+	ws, err := adversary.ZipfWeights(n, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +123,17 @@ func TestPipelineWeightedAdversary(t *testing.T) {
 	if !res.Terminated {
 		t.Fatalf("res = %+v", res)
 	}
-	if _, err := doda.SinkScaledWeights(n, 0, 4); err != nil {
+	if _, err := adversary.SinkScaledWeights(n, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := doda.ZipfWeights(1, 1); err == nil {
+	if _, err := adversary.ZipfWeights(1, 1); err == nil {
 		t.Error("want error")
 	}
 }
 
 func TestPipelineRecurrentAndStream(t *testing.T) {
-	// Custom stream construction through the facade.
-	st, err := doda.NewStream(4, func(t int) doda.Interaction {
+	// A custom stream played through the facade's oblivious adversary.
+	st, err := seq.NewStream(4, func(t int) doda.Interaction {
 		pairs := []doda.Interaction{{U: 2, V: 3}, {U: 1, V: 2}, {U: 0, V: 1}}
 		return pairs[t%3]
 	})
@@ -150,7 +153,7 @@ func TestPipelineRecurrentAndStream(t *testing.T) {
 	}
 
 	// Recurrent adversary over explicit edges.
-	e01, err := doda.Pair(0, 1)
+	e01, err := seq.NewInteraction(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +212,11 @@ func TestPipelineExperimentThroughFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run skipped in -short mode")
 	}
-	e, ok := doda.ExperimentByID("E5")
+	e, ok := experiments.ByID("E5")
 	if !ok {
 		t.Fatal("E5 missing")
 	}
-	rep, err := e.Run(doda.ExperimentConfig{Scale: doda.ScaleQuick, Seed: 5})
+	rep, err := e.Run(experiments.Config{Scale: experiments.ScaleQuick, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,14 +127,8 @@ func WriteMarkdown(w io.Writer, a *Analysis) error {
 	return bw.err
 }
 
-// WriteSummaryTable renders the one-row-per-group selection table — the
+// writeSummaryTable renders the one-row-per-group selection table — the
 // EXPERIMENTS.md-ready view `dodabench -report` embeds.
-func WriteSummaryTable(w io.Writer, a *Analysis) error {
-	bw := &errWriter{w: w}
-	writeSummaryTable(bw, a)
-	return bw.err
-}
-
 func writeSummaryTable(bw *errWriter, a *Analysis) {
 	bw.printf("| scenario | algorithm | predicted | selected (AIC) | c | c 95%% CI | free exponent | exp 95%% CI | R² (sel) |\n")
 	bw.printf("|---|---|---|---|--:|---|--:|---|--:|\n")

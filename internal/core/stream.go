@@ -102,16 +102,6 @@ func (e *Engine) Feed(it seq.Interaction) (done bool, err error) {
 	return e.str.done, nil
 }
 
-// StreamResult snapshots the push-mode result so far, without ending the
-// run. Terminated runs' SinkValue is only attached by Finish.
-func (e *Engine) StreamResult() Result {
-	return e.str.res
-}
-
-// StreamT returns the next time index a Feed would play at — equal to the
-// number of interactions fed so far.
-func (e *Engine) StreamT() int { return e.str.t }
-
 // StreamDone reports whether the push-mode run is over.
 func (e *Engine) StreamDone() bool { return e.str.done }
 

@@ -1,6 +1,6 @@
 package experiments
 
-// Ablations A1-A2: design-choice probes called out in DESIGN.md.
+// Ablations A1-A2: the design-choice probes EXPERIMENTS.md indexes.
 
 import (
 	"fmt"

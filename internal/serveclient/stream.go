@@ -46,9 +46,6 @@ func (c *Client) Stream(ctx context.Context, name string, batchSize int) (*Strea
 // Seq returns the sequence number the next sent batch will carry.
 func (s *Stream) Seq() uint64 { return s.next }
 
-// Buffered returns how many interactions are waiting for a Flush.
-func (s *Stream) Buffered() int { return len(s.buf) }
-
 // Add buffers one interaction, flushing automatically when the buffer
 // reaches the batch size. On error the interaction stays buffered;
 // calling Add or Flush again retries the same batch under the same seq.

@@ -16,11 +16,6 @@ type (
 	// ScenarioSpec is one registry entry: name, parameters, citation and
 	// builder.
 	ScenarioSpec = scenario.Spec
-	// ScenarioParam documents one scenario parameter.
-	ScenarioParam = scenario.Param
-	// ScenarioWorkload is a built scenario instance: adversary, backing
-	// sequence view, and node count.
-	ScenarioWorkload = scenario.Workload
 )
 
 // Scenarios returns the registered workload catalogue (uniform, zipf,
@@ -68,11 +63,6 @@ func ReplayTrace(r io.Reader) (*Sequence, error) { return scenario.ReplayTrace(r
 // the stream to knowledge oracles so adversary and oracles agree).
 func ScenarioAdversary(m ScenarioModel, seed uint64) (Adversary, *Stream, error) {
 	return scenario.Adversary(m, seed)
-}
-
-// ScenarioStream wraps a scenario model into an unbounded sequence.
-func ScenarioStream(m ScenarioModel, seed uint64) (*Stream, error) {
-	return scenario.Stream(m, seed)
 }
 
 // TraceAdversary wraps a replayed trace as a finite oblivious adversary.

@@ -5,13 +5,17 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"doda/internal/seq"
+	"doda/internal/serve"
 )
 
-// TestServeReexports drives a tiny end-to-end aggregation through the
-// root-package serving surface: register, ingest a star that gathers
-// everything at the sink, and read the terminated state back.
+// TestServeReexports drives a tiny end-to-end aggregation through an
+// in-process server registered with the root package's
+// ServeInstanceConfig: register, ingest a star that gathers everything
+// at the sink, and read the terminated state back.
 func TestServeReexports(t *testing.T) {
-	srv, err := NewServeServer(ServeOptions{})
+	srv, err := serve.NewServer(serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +31,7 @@ func TestServeReexports(t *testing.T) {
 	defer cancel()
 	var star []Interaction
 	for v := NodeID(1); v < 4; v++ {
-		it, err := Pair(0, v)
+		it, err := seq.NewInteraction(0, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +41,7 @@ func TestServeReexports(t *testing.T) {
 	// the sink meets every remaining owner again.
 	for round := 0; round < 4; round++ {
 		h, err := inst.Ingest(ctx, star, 0)
-		if errors.Is(err, ErrServeInstanceDone) {
+		if errors.Is(err, serve.ErrInstanceDone) {
 			break // terminated before the full schedule — the goal state
 		}
 		if err != nil {

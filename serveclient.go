@@ -5,7 +5,10 @@ package doda
 // See internal/serveclient/doc.go for the idempotency and retry
 // contracts.
 
-import "doda/internal/serveclient"
+import (
+	"doda/internal/serve"
+	"doda/internal/serveclient"
+)
 
 // Serve-client types.
 type (
@@ -17,13 +20,9 @@ type (
 	// ServeClientOptions tunes a client (HTTP transport, retry policy,
 	// jitter seed).
 	ServeClientOptions = serveclient.Options
-	// ServeClientRetryPolicy bounds and paces retries (zero value:
-	// 8 attempts, 100ms base doubling to a 5s cap).
-	ServeClientRetryPolicy = serveclient.RetryPolicy
-	// ServeStream is a seq-stamped batched feeder for one instance.
-	ServeStream = serveclient.Stream
-	// ServeAPIError is a deliberate non-2xx answer from the server.
-	ServeAPIError = serveclient.APIError
+	// ServeInstanceConfig registers an instance (name, n, algorithm,
+	// aggregate, provenance).
+	ServeInstanceConfig = serve.InstanceConfig
 )
 
 // NewServeClient builds a client for the dodaserve process at baseURL.
