@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"math"
 
-	"doda/internal/adversary"
 	"doda/internal/algorithms"
 	"doda/internal/core"
 	"doda/internal/rng"
 	"doda/internal/stats"
+	"doda/internal/sweep"
 )
 
 func a1() Experiment {
@@ -47,6 +47,7 @@ func runA1(cfg Config) (*Report, error) {
 			return algorithms.NewGatheringTieBreak(algorithms.RandomTieBreak, src.Uint64())
 		}},
 	}
+	var run sweep.Runner
 	for _, v := range variants {
 		var w stats.Welford
 		for i := 0; i < rep; i++ {
@@ -54,11 +55,7 @@ func runA1(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			adv, _, err := adversary.Randomized(n, src.Uint64())
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.RunOnce(core.Config{N: n, MaxInteractions: gatheringCap(n)}, alg, adv)
+			res, err := playUniform(&run, n, alg, gatheringCap(n), src.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -101,12 +98,13 @@ func runA2(cfg Config) (*Report, error) {
 		Columns: []string{"τ/τ*", "τ", "success rate", "mean duration"},
 	}
 	rates := make([]float64, 0, len(factors))
+	var run sweep.Runner
 	for _, c := range factors {
 		tau := int(math.Round(c * float64(star)))
 		success := 0
 		var durations stats.Welford
 		for i := 0; i < rep; i++ {
-			res, err := runWaitingGreedy(n, tau, src.Uint64())
+			res, err := playUniform(&run, n, algorithms.WaitingGreedy{Tau: tau}, waitingGreedyCap(n, tau), src.Uint64())
 			if err != nil {
 				return nil, err
 			}

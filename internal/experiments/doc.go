@@ -14,8 +14,9 @@
 // Seed), with every experiment deriving its own sub-seeds from
 // Config.Seed so suites can run experiments concurrently (dodabench
 // -parallel) without changing a single number. They run at two scales:
-// ScaleQuick for tests and CI (seconds), ScaleFull for the
-// paper-quality numbers recorded in EXPERIMENTS.md (minutes).
+// ScaleQuick for tests and CI (about 1.5 s for the whole suite),
+// ScaleFull for the paper-quality numbers recorded in EXPERIMENTS.md
+// (about 23 s of wall time for the whole suite on a 2-vCPU VM).
 //
 // # Checkpointing
 //

@@ -22,6 +22,7 @@ import (
 	"doda/internal/knowledge"
 	"doda/internal/rng"
 	"doda/internal/stats"
+	"doda/internal/sweep"
 )
 
 // formatMeans renders a slice of means compactly for check messages.
@@ -188,23 +189,17 @@ func runX2(cfg Config) (*Report, error) {
 		run    func(seed uint64) (core.Result, error)
 	}
 	horizon := int(12*expectedOffline(n)) + 1000
+	tau := algorithms.TauStar(n)
+	var play sweep.Runner
 	rungs := []rung{
 		{name: "waiting", know: "none", theory: "n(n-1)/2·H(n-1)", run: func(seed uint64) (core.Result, error) {
-			adv, _, err := adversary.Randomized(n, seed)
-			if err != nil {
-				return core.Result{}, err
-			}
-			return core.RunOnce(core.Config{N: n, MaxInteractions: waitingCap(n)}, algorithms.Waiting{}, adv)
+			return playUniform(&play, n, algorithms.Waiting{}, waitingCap(n), seed)
 		}},
 		{name: "gathering", know: "none", theory: "(n-1)²", run: func(seed uint64) (core.Result, error) {
-			adv, _, err := adversary.Randomized(n, seed)
-			if err != nil {
-				return core.Result{}, err
-			}
-			return core.RunOnce(core.Config{N: n, MaxInteractions: gatheringCap(n)}, algorithms.NewGathering(), adv)
+			return playUniform(&play, n, algorithms.NewGathering(), gatheringCap(n), seed)
 		}},
 		{name: "waiting-greedy(τ*)", know: "meetTime", theory: "n^{3/2}√log n", run: func(seed uint64) (core.Result, error) {
-			return runWaitingGreedy(n, algorithms.TauStar(n), seed)
+			return playUniform(&play, n, algorithms.WaitingGreedy{Tau: tau}, waitingGreedyCap(n, tau), seed)
 		}},
 		{name: "future-optimal", know: "future", theory: "Θ(n log n)", run: func(seed uint64) (core.Result, error) {
 			_, stream, err := adversary.Randomized(n, seed)

@@ -14,7 +14,7 @@ const (
 	// ScaleQuick runs small sweeps suitable for unit tests (seconds).
 	ScaleQuick Scale = iota + 1
 	// ScaleFull runs the sweep sizes recorded in EXPERIMENTS.md
-	// (minutes).
+	// (tens of seconds).
 	ScaleFull
 )
 

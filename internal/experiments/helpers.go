@@ -6,8 +6,10 @@ import (
 
 	"doda/internal/core"
 	"doda/internal/rng"
+	"doda/internal/scenario"
 	"doda/internal/seq"
 	"doda/internal/stats"
+	"doda/internal/sweep"
 )
 
 // recording wraps an adversary and materialises the interactions it
@@ -130,6 +132,17 @@ func expectedOffline(n int) float64 {
 	return float64(n-1) * stats.Harmonic(n-1)
 }
 
+// playUniform plays one replica of the paper's randomized adversary (§4)
+// at n nodes, seeded with seed, through run: the engine path every
+// uniform sweep cell takes, under full provenance.
+func playUniform(run *sweep.Runner, n int, alg core.Algorithm, cap int, seed uint64) (core.Result, error) {
+	model, err := scenario.NewUniform(n)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return run.Replica(model, alg, cap, core.ProvenanceFull, seed)
+}
+
 // gatheringCap is a safe interaction budget for Gathering-like runs.
 func gatheringCap(n int) int {
 	return 10*(n-1)*(n-1) + 4000
@@ -138,6 +151,12 @@ func gatheringCap(n int) int {
 // waitingCap is a safe interaction budget for Waiting runs.
 func waitingCap(n int) int {
 	return int(12*expectedWaiting(n)) + 4000
+}
+
+// waitingGreedyCap is the interaction budget, and meetTime horizon, of a
+// WGτ run: 3τ + 12n².
+func waitingGreedyCap(n, tau int) int {
+	return 3*tau + 12*n*n
 }
 
 // offlineHorizon is a safe window for one optimal convergecast.

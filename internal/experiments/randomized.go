@@ -15,7 +15,9 @@ import (
 	"doda/internal/knowledge"
 	"doda/internal/offline"
 	"doda/internal/rng"
+	"doda/internal/seq"
 	"doda/internal/stats"
+	"doda/internal/sweep"
 )
 
 func e7() Experiment {
@@ -37,40 +39,30 @@ func runE7(cfg Config) (*Report, error) {
 		Title:   "Theorem 7: interactions consumed by the final transmission",
 		Columns: []string{"algorithm", "n", "mean last gap", "n(n-1)/2", "ratio"},
 	}
-	type mk struct {
-		name string
-		make func() core.Algorithm
-	}
-	mks := []mk{
-		{name: "gathering", make: func() core.Algorithm { return algorithms.NewGathering() }},
-		{name: "waiting", make: func() core.Algorithm { return algorithms.Waiting{} }},
-	}
-	for _, m := range mks {
+	var run sweep.Runner
+	for _, alg := range []core.Algorithm{algorithms.NewGathering(), algorithms.Waiting{}} {
+		name := alg.Name()
 		var xs, ys []float64
 		for _, n := range ns {
 			var gaps stats.Welford
 			for i := 0; i < rep; i++ {
-				adv, _, err := adversary.Randomized(n, src.Uint64())
-				if err != nil {
-					return nil, err
-				}
-				res, err := core.RunOnce(core.Config{N: n, MaxInteractions: waitingCap(n)}, m.make(), adv)
+				res, err := playUniform(&run, n, alg, waitingCap(n), src.Uint64())
 				if err != nil {
 					return nil, err
 				}
 				if !res.Terminated {
-					return nil, fmt.Errorf("experiments: E7 %s n=%d did not terminate", m.name, n)
+					return nil, fmt.Errorf("experiments: E7 %s n=%d did not terminate", name, n)
 				}
 				gaps.Add(float64(res.LastGap + 1)) // +1: the final transmission itself
 			}
 			expected := float64(n) * float64(n-1) / 2
-			tb.AddRow(m.name, n, gaps.Mean(), expected, gaps.Mean()/expected)
+			tb.AddRow(name, n, gaps.Mean(), expected, gaps.Mean()/expected)
 			xs = append(xs, float64(n))
 			ys = append(ys, gaps.Mean())
-			r.meanRatioBand(fmt.Sprintf("%s n=%d final gap", m.name, n), gaps.Mean(), expected, 0.7, 1.4)
-			cfg.progressf("E7 %s n=%d mean=%.0f\n", m.name, n, gaps.Mean())
+			r.meanRatioBand(fmt.Sprintf("%s n=%d final gap", name, n), gaps.Mean(), expected, 0.7, 1.4)
+			cfg.progressf("E7 %s n=%d mean=%.0f\n", name, n, gaps.Mean())
 		}
-		r.exponentBand(fmt.Sprintf("%s final-gap exponent", m.name), xs, ys, 1.7, 2.3)
+		r.exponentBand(fmt.Sprintf("%s final-gap exponent", name), xs, ys, 1.7, 2.3)
 	}
 	r.Tables = append(r.Tables, tb)
 	return r, nil
@@ -146,14 +138,11 @@ func runE9(cfg Config) (*Report, error) {
 		Columns: []string{"n", "mean", "theory mean", "ratio", "variance", "n⁴π²/24", "var ratio"},
 	}
 	var xs, ys []float64
+	var run sweep.Runner
 	for _, n := range ns {
 		var w stats.Welford
 		for i := 0; i < rep; i++ {
-			adv, _, err := adversary.Randomized(n, src.Uint64())
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.RunOnce(core.Config{N: n, MaxInteractions: waitingCap(n)}, algorithms.Waiting{}, adv)
+			res, err := playUniform(&run, n, algorithms.Waiting{}, waitingCap(n), src.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -197,14 +186,12 @@ func runE10(cfg Config) (*Report, error) {
 		Columns: []string{"n", "mean", "(n-1)²", "ratio", "mean cost", "n/ln n"},
 	}
 	var xs, ys []float64
+	var run sweep.Runner
 	for _, n := range ns {
 		var w, costs stats.Welford
 		for i := 0; i < rep; i++ {
-			adv, stream, err := adversary.Randomized(n, src.Uint64())
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.RunOnce(core.Config{N: n, MaxInteractions: gatheringCap(n)}, algorithms.NewGathering(), adv)
+			seed := src.Uint64()
+			res, err := playUniform(&run, n, algorithms.NewGathering(), gatheringCap(n), seed)
 			if err != nil {
 				return nil, err
 			}
@@ -212,8 +199,13 @@ func runE10(cfg Config) (*Report, error) {
 				return nil, fmt.Errorf("experiments: E10 n=%d did not terminate", n)
 			}
 			w.Add(float64(res.Duration + 1))
-			// Cost on a subsample (the clock is the expensive part).
+			// Cost on a subsample (the clock is the expensive part). The
+			// clock reads the replica's sequence from a stream of its own.
 			if i < rep/5+1 {
+				stream, err := seq.NewStream(n, seq.UniformGen(n, rng.New(seed)))
+				if err != nil {
+					return nil, err
+				}
 				clock, err := offline.NewClock(stream, 0, res.Duration+offlineHorizon(n))
 				if err != nil {
 					return nil, err
@@ -261,23 +253,17 @@ func runE11(cfg Config) (*Report, error) {
 	fs := lemmaFChoices(n)
 	tb := &Table{
 		Title:   fmt.Sprintf("Lemma 1 at n=%d", n),
-		Columns: []string{"f(n)", "value", "mean interactions", "n·f/2", "ratio"},
+		Columns: []string{"f(n)", "value", "mean interactions", "n·f/2", "exact, k=⌊f⌋", "ratio"},
 	}
 	for _, fc := range fs {
-		target := int(fc.value)
-		if target < 1 {
-			target = 1
-		}
+		target := max(1, int(fc.value))
 		var w stats.Welford
 		for i := 0; i < rep; i++ {
-			_, stream, err := adversary.Randomized(n, src.Uint64())
-			if err != nil {
-				return nil, err
-			}
+			gen := seq.UniformGen(n, rng.New(src.Uint64()))
 			seen := make(map[graph.NodeID]bool, target)
 			steps := 0
 			for len(seen) < target {
-				it := stream.At(steps)
+				it := gen(steps)
 				steps++
 				if other, ok := it.Other(0); ok {
 					seen[other] = true
@@ -285,8 +271,12 @@ func runE11(cfg Config) (*Report, error) {
 			}
 			w.Add(float64(steps))
 		}
-		expected := float64(n) * fc.value / 2
-		tb.AddRow(fc.label, fc.value, w.Mean(), expected, w.Mean()/expected)
+		// The run stops at k = target distinct nodes. The sink is in an
+		// interaction with probability 2/n and meets each of the other
+		// n-1 nodes alike, so the exact expectation is n/2 times that of
+		// collecting k of n-1 coupons. n·f/2 is the paper's form.
+		expected := float64(n) * float64(n-1) / 2 * (stats.Harmonic(n-1) - stats.Harmonic(n-1-target))
+		tb.AddRow(fc.label, fc.value, w.Mean(), float64(n)*fc.value/2, expected, w.Mean()/expected)
 		r.meanRatioBand(fmt.Sprintf("f=%s", fc.label), w.Mean(), expected, 0.8, 1.3)
 		cfg.progressf("E11 f=%s mean=%.0f\n", fc.label, w.Mean())
 	}
@@ -336,6 +326,7 @@ func runE12(cfg Config) (*Report, error) {
 	bestTau := math.Inf(1)
 	var bestLabel string
 	starTau := 0.0
+	var run sweep.Runner
 	for _, fc := range fs {
 		tau := int(math.Max(fn*fc.value, fn*fn*math.Log(fn)/fc.value))
 		if float64(tau) < bestTau {
@@ -347,7 +338,7 @@ func runE12(cfg Config) (*Report, error) {
 		success := 0
 		var durations stats.Welford
 		for i := 0; i < rep; i++ {
-			res, err := runWaitingGreedy(n, tau, src.Uint64())
+			res, err := playUniform(&run, n, algorithms.WaitingGreedy{Tau: tau}, waitingGreedyCap(n, tau), src.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -368,22 +359,6 @@ func runE12(cfg Config) (*Report, error) {
 	r.check("τ minimised at f* = √(n ln n)", bestTau == starTau,
 		"best f %s", bestLabel, "sqrt(n·ln n) (Corollary 3)")
 	return r, nil
-}
-
-// runWaitingGreedy executes one WGτ run against a fresh randomized
-// adversary.
-func runWaitingGreedy(n, tau int, seed uint64) (core.Result, error) {
-	adv, stream, err := adversary.Randomized(n, seed)
-	if err != nil {
-		return core.Result{}, err
-	}
-	cap := 3*tau + 12*n*n
-	know, err := knowledge.NewBundle(knowledge.WithMeetTime(stream, 0, cap))
-	if err != nil {
-		return core.Result{}, err
-	}
-	return core.RunOnce(core.Config{N: n, MaxInteractions: cap, Know: know},
-		algorithms.WaitingGreedy{Tau: tau}, adv)
 }
 
 func e13() Experiment {
@@ -407,26 +382,20 @@ func runE13(cfg Config) (*Report, error) {
 	}
 	var xs, gys, wys []float64
 	var lastRatio float64
+	var run sweep.Runner
 	for _, n := range ns {
 		var wWait, wGather, wWG stats.Welford
+		tau := algorithms.TauStar(n)
 		for i := 0; i < rep; i++ {
-			advW, _, err := adversary.Randomized(n, src.Uint64())
+			resW, err := playUniform(&run, n, algorithms.Waiting{}, waitingCap(n), src.Uint64())
 			if err != nil {
 				return nil, err
 			}
-			resW, err := core.RunOnce(core.Config{N: n, MaxInteractions: waitingCap(n)}, algorithms.Waiting{}, advW)
+			resG, err := playUniform(&run, n, algorithms.NewGathering(), gatheringCap(n), src.Uint64())
 			if err != nil {
 				return nil, err
 			}
-			advG, _, err := adversary.Randomized(n, src.Uint64())
-			if err != nil {
-				return nil, err
-			}
-			resG, err := core.RunOnce(core.Config{N: n, MaxInteractions: gatheringCap(n)}, algorithms.NewGathering(), advG)
-			if err != nil {
-				return nil, err
-			}
-			resWG, err := runWaitingGreedy(n, algorithms.TauStar(n), src.Uint64())
+			resWG, err := playUniform(&run, n, algorithms.WaitingGreedy{Tau: tau}, waitingGreedyCap(n, tau), src.Uint64())
 			if err != nil {
 				return nil, err
 			}

@@ -128,8 +128,8 @@ func (c InstanceConfig) normalized() InstanceConfig {
 }
 
 // Handle acknowledges one accepted batch: Done closes when the batch has
-// been applied to the engine (or the instance failed first), Err reports
-// how it went.
+// been applied to the engine (or the instance failed first), and Wait
+// reports how it went.
 type Handle struct {
 	ch  chan struct{}
 	err error
@@ -146,9 +146,6 @@ func resolvedHandle() *Handle {
 
 // Done closes when the batch has been applied (or abandoned).
 func (h *Handle) Done() <-chan struct{} { return h.ch }
-
-// Err reports the batch's fate; call it after Done closes.
-func (h *Handle) Err() error { return h.err }
 
 // Wait blocks until the batch is applied or ctx expires.
 func (h *Handle) Wait(ctx context.Context) error {
@@ -261,9 +258,6 @@ func (inst *Instance) touched() time.Time {
 
 // Name returns the instance name.
 func (inst *Instance) Name() string { return inst.cfg.Name }
-
-// Config returns the instance configuration.
-func (inst *Instance) Config() InstanceConfig { return inst.cfg }
 
 // validate range-checks a batch up front so malformed input is a client
 // error at admission, never a poisoned engine later.

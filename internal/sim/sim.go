@@ -380,14 +380,15 @@ func (rt *Runtime) adaptiveBatchLen(remaining int) int {
 }
 
 // runScalarSim is the one-Next-per-interaction loop for adaptive
-// adversaries.
+// adversaries: each interaction is played as a batch of one.
 func (rt *Runtime) runScalarSim(adv core.Adversary, res *core.Result) error {
 	for t := 0; t < rt.cfg.MaxInteractions; t++ {
 		it, ok := adv.Next(t, rt)
 		if !ok {
 			return nil // adversary exhausted its (finite) sequence
 		}
-		stop, err := rt.playOne(t, it, res)
+		rt.batch[0] = it
+		stop, err := rt.playBatch(t, 1, res)
 		if err != nil || stop {
 			return err
 		}
@@ -423,9 +424,9 @@ func (rt *Runtime) runBatchedSim(ba core.BatchAdversary, res *core.Result) error
 // drained batch. It returns stop=true when the run ended inside the
 // batch. A malformed interaction at position p truncates the batch: the
 // valid prefix is still played (matching the engine, which plays and
-// counts every interaction before the offending one) and the error —
-// built exactly like the scalar path's — is returned only if the run
-// did not end earlier.
+// counts every interaction before the offending one) and the error is
+// returned only if the run did not end earlier. runScalarSim plays each
+// interaction as a batch of one.
 func (rt *Runtime) playBatch(start, blen int, res *core.Result) (bool, error) {
 	batch := rt.batch[:blen]
 	n := rt.cfg.N
@@ -530,30 +531,6 @@ func prescreenBoth(words []uint64, batch []seq.Interaction, mask []uint64) int {
 	return active
 }
 
-// playOne validates and plays a single interaction: inactive ones are
-// integrated directly, active ones dispatched as a one-slot batch.
-func (rt *Runtime) playOne(t int, it seq.Interaction, res *core.Result) (bool, error) {
-	canon, ok := seq.Canon(it, rt.cfg.N)
-	if !ok {
-		return true, fmt.Errorf("sim: adversary %s at t=%d: %w", rt.advName, t, seq.CanonError(it))
-	}
-	if !rt.obsAll && !(bitset.TestWord(rt.ownWords, int(canon.U)) && bitset.TestWord(rt.ownWords, int(canon.V))) {
-		res.Interactions++
-		return rt.integrateTail(t, core.Event{T: t, It: canon}, res), nil
-	}
-	us, vs := rt.shardOf(canon.U), rt.shardOf(canon.V)
-	sl := &rt.slots[0]
-	sl.it = canon
-	sl.t = t
-	sl.uShard, sl.vShard = us, vs
-	sl.decision = core.NoTransfer
-	sl.bothOwned = false
-	sl.takeMine, sl.gaveYours = false, false
-	sl.state.Store(slotEmpty)
-	rt.dispatch(1, 1<<uint(us)|1<<uint(vs))
-	return rt.integratePos(t, canon, sl.bothOwned, sl.decision, res), nil
-}
-
 // integratePos folds one played interaction into the scheduler's view
 // and the result, emits its event, and reports whether the run is over.
 func (rt *Runtime) integratePos(t int, it seq.Interaction, both bool, d core.Decision, res *core.Result) bool {
@@ -572,12 +549,6 @@ func (rt *Runtime) integratePos(t int, it seq.Interaction, both bool, d core.Dec
 			res.Declined++
 		}
 	}
-	return rt.integrateTail(t, ev, res)
-}
-
-// integrateTail is the event-emission and end-of-run check shared by
-// the active and screened-out integration paths.
-func (rt *Runtime) integrateTail(t int, ev core.Event, res *core.Result) bool {
 	if rt.cfg.Events != nil {
 		rt.cfg.Events.OnEvent(ev)
 	}

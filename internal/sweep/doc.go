@@ -1,9 +1,9 @@
 // Package sweep is the sharded parameter-sweep engine: it expands a
 // grid of (scenario × algorithm × node count × seed replicas) over the
 // scenario registry into cells, shards the cells across a bounded
-// worker pool, and aggregates per-cell statistics — replacing the
-// hand-rolled per-adversary loops the experiments and CLIs used to
-// carry.
+// worker pool, and aggregates per-cell statistics. Runner, which plays
+// one replica of a generative model, is the per-replica body of every
+// generative cell and of the experiments' uniform-adversary loops.
 //
 // # Determinism and seed derivation
 //
@@ -40,12 +40,15 @@
 // sample buffers, so the steady-state measurement loop does not
 // allocate; Grid.Provenance defaults to "auto", dropping from full
 // bitset provenance to count-only at AutoProvenanceThreshold nodes.
-// Cells on generative scenarios feed the engine straight from the
-// model's generator (adversary.Generated), caching nothing; a
-// waiting-greedy cell's meetTime oracle scans a second generator built
-// from the same model and replica seed. Only full-knowledge cells, which
-// need random access to the whole sequence, and trace replay run on
-// spec.Build's cached stream.
+// Cells on generative scenarios play each replica through
+// Runner.Replica, caching nothing: a model that is a scenario.Screener
+// (uniform) plays through its screened adversary, which hands the engine
+// only interactions between two data owners, and any other model feeds
+// the engine from its generator (adversary.Generated). A waiting-greedy
+// replica's meetTime oracle scans a second generator built from the same
+// model and replica seed. Only full-knowledge cells, which need random
+// access to the whole sequence, and trace replay run on spec.Build's
+// cached stream, on the worker's engine.
 //
 // ReadResults decodes the JSONL stream cmd/dodasweep writes back into
 // typed results, so saved output can feed internal/analysis without

@@ -41,8 +41,8 @@ func needsSequence(name string) bool {
 // newAlgorithm builds the named algorithm for an n-node run capped at cap
 // interactions, plus the knowledge bundle it requires with its oracles
 // over view (nil for the knowledge-free algorithms). A nil view builds
-// the algorithm alone: the generator fast path grants waiting-greedy's
-// meetTime oracle per replica itself.
+// the algorithm alone: Runner.Replica grants waiting-greedy's meetTime
+// oracle per replica itself.
 func newAlgorithm(name string, n, cap int, view seq.View) (core.Algorithm, *knowledge.Bundle, error) {
 	var (
 		alg   core.Algorithm
@@ -152,7 +152,7 @@ func Run(grid Grid, opt Options) ([]CellResult, Totals, error) {
 	// steady-state cells allocate only what the workload model needs.
 	runners := make([]*runner, workers)
 	for w := range runners {
-		runners[w] = &runner{}
+		runners[w] = &runner{Runner: Runner{wrap: opt.wrapAdversary}}
 	}
 	em := &emitter{fn: opt.OnResult, pending: map[int]CellResult{}}
 
@@ -216,9 +216,71 @@ func (e *emitter) emit(i int, r CellResult) error {
 	}
 }
 
-// runner is one worker's scratch state.
+// Runner plays single replicas of a generative model on one engine,
+// re-armed by Reset for every replica. It is the path every generative
+// sweep cell takes, and the experiments play their uniform-adversary
+// replicas through it too. The zero value is ready to use; a Runner is
+// not safe for concurrent use.
+type Runner struct {
+	eng *core.Engine
+	// wrap, when non-nil, wraps every replica's adversary (see
+	// Options.wrapAdversary).
+	wrap func(core.Adversary) core.Adversary
+}
+
+// Replica plays alg for at most cap interactions against the sequence
+// model generates from seed, under provenance mode prov, with the
+// aggregate verified on termination. A model that is a
+// scenario.Screener plays through its screened adversary, which skips
+// interactions that are not between two data owners at the source;
+// any other model feeds the engine from its generator. Waiting Greedy
+// gets its meetTime oracle from a second generator built from the same
+// model and seed: the sequence the adversary plays, with nothing cached.
+//
+// The Result's SinkValue.Origins aliases engine storage that the next
+// Replica recycles.
+func (r *Runner) Replica(model scenario.Model, alg core.Algorithm, cap int, prov core.ProvenanceMode, seed uint64) (core.Result, error) {
+	n := model.N()
+	var (
+		adv core.Adversary
+		err error
+	)
+	if sm, ok := model.(scenario.Screener); ok {
+		adv, err = sm.ScreenedAdversary(rng.New(seed))
+	} else {
+		adv, err = adversary.NewGenerated(model.Name(), n, model.Generator(rng.New(seed)))
+	}
+	if err != nil {
+		return core.Result{}, err
+	}
+	var know *knowledge.Bundle
+	if _, ok := alg.(algorithms.WaitingGreedy); ok {
+		if know, err = knowledge.NewBundle(knowledge.WithMeetTimeGen(n, model.Generator(rng.New(seed)), 0, cap)); err != nil {
+			return core.Result{}, err
+		}
+	}
+	return r.run(core.Config{N: n, MaxInteractions: cap, Know: know, VerifyAggregate: true, Provenance: prov}, alg, adv)
+}
+
+// run re-arms the engine under cfg and plays alg against adv.
+func (r *Runner) run(cfg core.Config, alg core.Algorithm, adv core.Adversary) (core.Result, error) {
+	if r.wrap != nil {
+		adv = r.wrap(adv)
+	}
+	if r.eng == nil {
+		var err error
+		if r.eng, err = core.NewEngine(cfg); err != nil {
+			return core.Result{}, err
+		}
+	} else if err := r.eng.Reset(cfg); err != nil {
+		return core.Result{}, err
+	}
+	return r.eng.Run(alg, adv)
+}
+
+// runner is one worker's scratch state: a Runner plus sample buffers.
 type runner struct {
-	eng  *core.Engine
+	Runner
 	durs []float64
 	ints []float64
 }
@@ -252,19 +314,23 @@ func (r *runner) runCell(grid Grid, opt Options, cell Cell) (CellResult, error) 
 	// Replica seeds derive from the cell seed alone.
 	src := rng.New(cell.Seed)
 
-	fast := spec.Model != nil && !needsSequence(cell.Algorithm)
-	var model scenario.Model
-	var alg core.Algorithm
-	if fast {
-		var err error
-		model, err = spec.Model(cell.N, cell.Scenario.Params)
-		if err != nil {
+	// Generator fast path: every algorithm but full knowledge plays
+	// through Replica, caching no interaction. Its algorithms are
+	// stateless across runs, so one instance serves every replica.
+	var (
+		model scenario.Model
+		alg   core.Algorithm
+		cap   int
+	)
+	if spec.Model != nil && !needsSequence(cell.Algorithm) {
+		if model, err = spec.Model(cell.N, cell.Scenario.Params); err != nil {
 			return CellResult{}, err
 		}
-		// Every fast-path algorithm is stateless across runs, so one
-		// instance serves every replica.
 		if alg, _, err = newAlgorithm(cell.Algorithm, model.N(), 1, nil); err != nil {
 			return CellResult{}, err
+		}
+		if cap = grid.MaxInteractions; cap == 0 {
+			cap = scenario.DefaultCap(model.N())
 		}
 	}
 
@@ -277,75 +343,12 @@ func (r *runner) runCell(grid Grid, opt Options, cell Cell) (CellResult, error) 
 			r.apply(&res, prior[rep])
 			continue
 		}
-		var (
-			adv  core.Adversary
-			know *knowledge.Bundle
-			n    int
-			cap  int
-		)
-		if fast {
-			// Generator fast path: no stream caching, no per-replica
-			// workload allocations beyond the model's own state.
-			n = model.N()
-			cap = grid.MaxInteractions
-			if cap == 0 {
-				cap = scenario.DefaultCap(n)
-			}
-			// A model that can skip idle interactions at the source plays
-			// its sequence that way; the Result is the same.
-			var err error
-			if sm, ok := model.(scenario.Screener); ok {
-				adv, err = sm.ScreenedAdversary(rng.New(repSeed))
-			} else {
-				adv, err = adversary.NewGenerated(spec.Name, n, model.Generator(rng.New(repSeed)))
-			}
-			if err != nil {
-				return CellResult{}, err
-			}
-			if cell.Algorithm == "waiting-greedy" {
-				// The oracle scans a second generator built from the
-				// same model and replica seed: the sequence the
-				// adversary plays, with nothing cached.
-				know, err = knowledge.NewBundle(knowledge.WithMeetTimeGen(n, model.Generator(rng.New(repSeed)), 0, cap))
-				if err != nil {
-					return CellResult{}, err
-				}
-			}
+		var out core.Result
+		if model != nil {
+			out, err = r.Replica(model, alg, cap, prov, repSeed)
 		} else {
-			w, err := spec.Build(cell.N, repSeed, cell.Scenario.Params)
-			if err != nil {
-				return CellResult{}, err
-			}
-			n = w.N
-			cap = grid.MaxInteractions
-			if cap == 0 {
-				cap = scenario.DefaultCap(n)
-			}
-			if b, finite := w.View.Bound(); finite && cap > b {
-				cap = b
-			}
-			if alg, know, err = newAlgorithm(cell.Algorithm, n, cap, w.View); err != nil {
-				return CellResult{}, err
-			}
-			adv = w.Adversary
+			out, err = r.buildReplica(grid, cell, spec, prov, repSeed)
 		}
-
-		if opt.wrapAdversary != nil {
-			adv = opt.wrapAdversary(adv)
-		}
-		cfg := core.Config{
-			N: n, MaxInteractions: cap, Know: know, VerifyAggregate: true,
-			Provenance: prov,
-		}
-		if r.eng == nil {
-			var err error
-			if r.eng, err = core.NewEngine(cfg); err != nil {
-				return CellResult{}, err
-			}
-		} else if err := r.eng.Reset(cfg); err != nil {
-			return CellResult{}, err
-		}
-		out, err := r.eng.Run(alg, adv)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("sweep: cell %d (%s/%s/n=%d) replica %d: %w",
 				cell.Index, cell.Scenario, cell.Algorithm, cell.N, rep, err)
@@ -368,6 +371,27 @@ func (r *runner) runCell(grid Grid, opt Options, cell Cell) (CellResult, error) 
 	res.Duration = metricOf(r.durs)
 	res.Interactions = metricOf(r.ints)
 	return res, nil
+}
+
+// buildReplica plays one replica on spec.Build's workload: the cached
+// stream full knowledge needs random access to, or a replayed trace.
+func (r *runner) buildReplica(grid Grid, cell Cell, spec scenario.Spec, prov core.ProvenanceMode, seed uint64) (core.Result, error) {
+	w, err := spec.Build(cell.N, seed, cell.Scenario.Params)
+	if err != nil {
+		return core.Result{}, err
+	}
+	cap := grid.MaxInteractions
+	if cap == 0 {
+		cap = scenario.DefaultCap(w.N)
+	}
+	if b, finite := w.View.Bound(); finite && cap > b {
+		cap = b
+	}
+	alg, know, err := newAlgorithm(cell.Algorithm, w.N, cap, w.View)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return r.run(core.Config{N: w.N, MaxInteractions: cap, Know: know, VerifyAggregate: true, Provenance: prov}, alg, w.Adversary)
 }
 
 // apply folds one replica outcome — fresh or restored — into the cell

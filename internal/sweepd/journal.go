@@ -306,9 +306,6 @@ func (j *Journal) writeRecords(recs []any) error {
 	return nil
 }
 
-// Dir returns the checkpoint directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // checkpoint is the parsed state of a checkpoint directory.
 type checkpoint struct {
 	header  Header
