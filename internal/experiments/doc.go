@@ -16,7 +16,7 @@
 // -parallel) without changing a single number. They run at two scales:
 // ScaleQuick for tests and CI (about 1.5 s for the whole suite),
 // ScaleFull for the paper-quality numbers recorded in EXPERIMENTS.md
-// (about 23 s of wall time for the whole suite on a 2-vCPU VM).
+// (about 16 s of wall time for the whole suite on a 2-vCPU VM).
 //
 // # Checkpointing
 //

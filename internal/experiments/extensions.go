@@ -21,6 +21,8 @@ import (
 	"doda/internal/core"
 	"doda/internal/knowledge"
 	"doda/internal/rng"
+	"doda/internal/scenario"
+	"doda/internal/seq"
 	"doda/internal/stats"
 	"doda/internal/sweep"
 )
@@ -52,6 +54,9 @@ func runX1(cfg Config) (*Report, error) {
 	}
 	rep := reps(cfg, 80, 250)
 	src := rng.New(cfg.Seed ^ 0x51)
+	budget := 40 * waitingCap(n)
+	var play sweep.Runner
+	waiting, gathering := algorithms.Waiting{}, algorithms.NewGathering()
 
 	// Part A: scale only the sink's weight. Waiting's expectation is a
 	// sum of geometric sink-meeting times, so its mean must scale
@@ -68,23 +73,14 @@ func runX1(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		model := sinkScaled{ws: ws}
 		var wWait, wGather stats.Welford
 		for i := 0; i < rep; i++ {
-			advW, _, err := adversary.Weighted(ws, src.Uint64())
+			resW, err := play.Replica(model, waiting, budget, core.ProvenanceFull, src.Uint64())
 			if err != nil {
 				return nil, err
 			}
-			resW, err := core.RunOnce(core.Config{N: n, MaxInteractions: 40 * waitingCap(n)},
-				algorithms.Waiting{}, advW)
-			if err != nil {
-				return nil, err
-			}
-			advG, _, err := adversary.Weighted(ws, src.Uint64())
-			if err != nil {
-				return nil, err
-			}
-			resG, err := core.RunOnce(core.Config{N: n, MaxInteractions: 40 * waitingCap(n)},
-				algorithms.NewGathering(), advG)
+			resG, err := play.Replica(model, gathering, budget, core.ProvenanceFull, src.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -127,18 +123,13 @@ func runX1(cfg Config) (*Report, error) {
 	alphas := []float64{0, 0.5, 1}
 	gatherMeans := make([]float64, 0, len(alphas))
 	for _, alpha := range alphas {
-		ws, err := adversary.ZipfWeights(n, alpha)
+		model, err := scenario.NewZipf(n, alpha)
 		if err != nil {
 			return nil, err
 		}
 		var w stats.Welford
 		for i := 0; i < rep; i++ {
-			adv, _, err := adversary.Weighted(ws, src.Uint64())
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.RunOnce(core.Config{N: n, MaxInteractions: 40 * waitingCap(n)},
-				algorithms.NewGathering(), adv)
+			res, err := play.Replica(model, gathering, budget, core.ProvenanceFull, src.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -157,6 +148,22 @@ func runX1(cfg Config) (*Report, error) {
 		"means %s", formatMeans(gatherMeans), "alpha=1 below alpha=0 (uniform)")
 	r.note("answer to §5 Q3: yes — the Θ(n²) constants follow the sink's contact probability, so non-uniform adversaries rescale every randomized bound")
 	return r, nil
+}
+
+// sinkScaled is X1's part A model: adversary.SinkScaledWeights drawn
+// the way adversary.Weighted draws them.
+type sinkScaled struct{ ws []float64 }
+
+func (m sinkScaled) Name() string { return "sink-scaled" }
+func (m sinkScaled) N() int       { return len(m.ws) }
+
+func (m sinkScaled) Generator(src *rng.Source) func(t int) seq.Interaction {
+	gen, err := adversary.WeightedGen(m.ws, src)
+	if err != nil {
+		// Unreachable: SinkScaledWeights returns valid weights.
+		panic(err)
+	}
+	return gen
 }
 
 func x2() Experiment {

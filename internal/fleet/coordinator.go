@@ -32,9 +32,6 @@ type CoordinatorOptions struct {
 	// the wall time of the slowest cell — a worker only notices a
 	// revocation at a checkpoint boundary.
 	LeaseTTL time.Duration
-	// RetryEvery is the backoff hint returned when all shards are leased
-	// (default LeaseTTL/4).
-	RetryEvery time.Duration
 	// Resume rebuilds the partition table of a crashed coordinator from
 	// Dir/coord.log and the shards' own checkpoints instead of starting
 	// fresh. Grants whose workers survived keep their lease IDs (with a
@@ -106,9 +103,6 @@ func newCoordinator(grid sweep.Grid, opt CoordinatorOptions, fsys chaos.FS) (*Co
 	}
 	if opt.LeaseTTL <= 0 {
 		opt.LeaseTTL = 30 * time.Second
-	}
-	if opt.RetryEvery <= 0 {
-		opt.RetryEvery = opt.LeaseTTL / 4
 	}
 	fp, err := grid.Fingerprint()
 	if err != nil {
@@ -552,7 +546,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if allDone {
 		resp = LeaseResponse{Status: StatusDone}
 	} else if resp.Status == StatusDone {
-		resp = LeaseResponse{Status: StatusWait, RetryMs: c.opt.RetryEvery.Milliseconds()}
+		// Every open shard is leased: ask again in a quarter lease.
+		resp = LeaseResponse{Status: StatusWait, RetryMs: (c.opt.LeaseTTL / 4).Milliseconds()}
 	}
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)

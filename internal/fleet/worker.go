@@ -32,9 +32,6 @@ type WorkerOptions struct {
 	// PerReplica selects replica-granularity checkpointing for the
 	// shards this worker runs.
 	PerReplica bool
-	// ProgressEvery throttles the shard progress records (sweepd
-	// semantics: 0 = default, negative = disabled).
-	ProgressEvery time.Duration
 	// OnProgress, when non-nil, observes each leased shard's progress
 	// flushes.
 	OnProgress func(shard int, p sweepd.Progress)
@@ -171,7 +168,6 @@ func runLease(ctx context.Context, wc *wclient, lease LeaseResponse, opt WorkerO
 		ShardCount:      lease.ShardCount,
 		Resume:          true,
 		PerReplica:      opt.PerReplica,
-		ProgressEvery:   opt.ProgressEvery,
 		FS:              opt.FS,
 		AfterCheckpoint: func(done, total int) error { return checkRevoked() },
 	}

@@ -24,10 +24,16 @@
 // a non-atomic filesystem), which Open drops and durably repairs,
 // costing at most the cells of that segment. recordlog's torn-record
 // rule decides what counts as torn: damage with no byte after it in the
-// final segment. Corruption anywhere else — a bad crc mid-stream, a
-// header mismatch between segments, a duplicate cell — is fatal
-// (ErrCorrupt): repairing it away would silently destroy journaled
+// final segment (an empty segment file counts, since every published
+// segment starts with its header). Corruption anywhere else — a bad crc
+// mid-stream, a header mismatch between segments, a duplicate cell — is
+// fatal (ErrCorrupt): repairing it away would silently destroy journaled
 // results.
+//
+// ReadCheckpoint, Open and the read-only Watcher share one segment
+// parse, one fold of the journal rules in record order and one tally of
+// the progress counters; the Watcher differs only in tolerating damage
+// anywhere, which a live writer's directory can show mid-repair.
 //
 // # Identity and staleness
 //

@@ -64,8 +64,8 @@ type Header struct {
 // accumulator (which the rounded Duration metric cannot reconstruct) so
 // resumed and merged totals fold bit-for-bit like an uninterrupted run.
 // WallMs is the wall-clock cost of the cell's fresh replicas — pure
-// observability metadata (progress dashboards, ETA estimates) that never
-// feeds the deterministic result stream.
+// observability metadata for tools that read the journal (per-layer
+// timing) that never feeds the deterministic result stream.
 type CellRecord struct {
 	Index  int                `json:"index"`
 	Result sweep.CellResult   `json:"result"`
@@ -191,63 +191,57 @@ func Open(dir string, grid sweep.Grid, shardIndex, shardCount int) (*Journal, []
 // have not completed: cell index → outcomes in replica order, ready to
 // hand to sweep.Options.ResumeReplicas.
 func OpenResume(dir string, grid sweep.Grid, shardIndex, shardCount int) (*Journal, []CellRecord, map[int][]sweep.ReplicaOutcome, error) {
-	return openResumeFS(chaos.Disk, dir, grid, shardIndex, shardCount)
-}
-
-// openResumeFS is OpenResume through an explicit filesystem seam.
-func openResumeFS(fsys chaos.FS, dir string, grid sweep.Grid, shardIndex, shardCount int) (*Journal, []CellRecord, map[int][]sweep.ReplicaOutcome, error) {
-	h, err := headerFor(grid, shardIndex, shardCount)
+	j, cp, err := openResumeFS(chaos.Disk, dir, grid, shardIndex, shardCount)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	return j, cp.records, cp.replicas, nil
+}
+
+// openResumeFS is OpenResume through an explicit filesystem seam,
+// returning the whole fold of what the checkpoint holds (empty when it
+// starts fresh).
+func openResumeFS(fsys chaos.FS, dir string, grid sweep.Grid, shardIndex, shardCount int) (*Journal, *checkpoint, error) {
+	h, err := headerFor(grid, shardIndex, shardCount)
+	if err != nil {
+		return nil, nil, err
 	}
 	cp, err := readCheckpoint(dir)
 	if errors.Is(err, ErrNoCheckpoint) {
 		if errors.Is(err, errGenesisTorn) {
 			nums, nerr := segments.List(fsys, dir, progressPrefix)
 			if nerr != nil {
-				return nil, nil, nil, nerr
+				return nil, nil, nerr
 			}
 			for _, n := range nums {
 				if rerr := fsys.Remove(filepath.Join(dir, segments.Name(n))); rerr != nil {
-					return nil, nil, nil, rerr
+					return nil, nil, rerr
 				}
 			}
 			if serr := fsys.SyncDir(dir); serr != nil {
-				return nil, nil, nil, serr
+				return nil, nil, serr
 			}
 		}
 		j, err := createFS(fsys, dir, grid, shardIndex, shardCount)
-		return j, nil, nil, err
+		return j, newCheckpoint(), err
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// Sweep away tmp files a crashed writer left behind; only final
 	// (renamed) segments count.
 	if _, err := segments.List(fsys, dir, progressPrefix); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if !cp.header.matches(h) {
-		return nil, nil, nil, fmt.Errorf("%w: checkpoint is for fingerprint %.12s shard %d/%d, want %.12s shard %d/%d",
+		return nil, nil, fmt.Errorf("%w: checkpoint is for fingerprint %.12s shard %d/%d, want %.12s shard %d/%d",
 			ErrStaleCheckpoint, cp.header.Fingerprint, cp.header.ShardIndex, cp.header.ShardCount,
 			h.Fingerprint, shardIndex, shardCount)
 	}
 	if err := cp.repair(fsys, dir); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	j := &Journal{fs: fsys, dir: dir, header: cp.header, nextSeg: cp.nextSeg}
-	var prior map[int][]sweep.ReplicaOutcome
-	if len(cp.replicas) > 0 {
-		prior = make(map[int][]sweep.ReplicaOutcome, len(cp.replicas))
-		for idx, recs := range cp.replicas {
-			outs := make([]sweep.ReplicaOutcome, len(recs))
-			for i, r := range recs {
-				outs[i] = r.Out
-			}
-			prior[idx] = outs
-		}
-	}
-	return j, cp.records, prior, nil
+	return &Journal{fs: fsys, dir: dir, header: cp.header, nextSeg: cp.nextSeg}, cp, nil
 }
 
 // Append buffers one completed cell for the next Checkpoint.
@@ -306,20 +300,152 @@ func (j *Journal) writeRecords(recs []any) error {
 	return nil
 }
 
-// checkpoint is the parsed state of a checkpoint directory.
+// segment is one parsed checkpoint segment.
+type segment struct {
+	// recs holds the records of the segment's intact prefix in journal
+	// order: its Header, then CellRecord and ReplicaRecord values.
+	recs []any
+	// good is the intact prefix's length in bytes; torn reports that
+	// damage with no byte after it ended the prefix.
+	good int64
+	torn bool
+	// err, when set, is what stopped the parse short of the end: damage
+	// with bytes after it (wrapping recordlog.ErrCorrupt), or an intact
+	// record that does not decode.
+	err error
+}
+
+// parseSegment decodes the intact prefix of one segment's bytes. Damage
+// — a failed crc or unterminated bytes — ends the prefix, since
+// recordlog.Replay never hands a damaged line on. An empty segment is
+// torn too: every published segment starts with its header, so a file
+// with no bytes is a publish that lost all of them.
+func parseSegment(name string, raw []byte) segment {
+	var seg segment
+	seg.good, seg.torn, seg.err = recordlog.Replay(bytes.NewReader(raw), 0, func(li int, body []byte) error {
+		rec, err := decodeRecord(name, li, body)
+		if err == nil {
+			seg.recs = append(seg.recs, rec)
+		}
+		return err
+	})
+	seg.torn = seg.torn || len(raw) == 0
+	return seg
+}
+
+// decodeRecord parses record li of segment name. Record 0 is the Header,
+// whose schema version must be this reader's. Later records dispatch on
+// the JSON shape: cell records carry "result", replica records carry
+// "out". Both kinds share recordVersion 1 — the discriminator is
+// additive, so pre-replica checkpoints read unchanged.
+func decodeRecord(name string, li int, body []byte) (any, error) {
+	if li == 0 {
+		var h Header
+		if err := json.Unmarshal(body, &h); err != nil {
+			return nil, fmt.Errorf("%w: segment %s header: %v", ErrCorrupt, name, err)
+		}
+		if h.Version != recordVersion {
+			return nil, fmt.Errorf("%w: segment %s has version %d, this reader speaks %d",
+				ErrStaleCheckpoint, name, h.Version, recordVersion)
+		}
+		return h, nil
+	}
+	var probe struct {
+		Result *json.RawMessage `json:"result"`
+		Out    *json.RawMessage `json:"out"`
+	}
+	err := json.Unmarshal(body, &probe)
+	switch {
+	case err != nil:
+	case probe.Result != nil:
+		var rec CellRecord
+		if err = json.Unmarshal(body, &rec); err == nil {
+			return rec, nil
+		}
+	case probe.Out != nil:
+		var rec ReplicaRecord
+		if err = json.Unmarshal(body, &rec); err == nil {
+			return rec, nil
+		}
+	default:
+		err = errors.New("neither a cell nor a replica record")
+	}
+	return nil, fmt.Errorf("%w: segment %s record %d: %v", ErrCorrupt, name, li, err)
+}
+
+// checkpoint is what the journal rules make of a checkpoint's segments,
+// folded in journal order.
 type checkpoint struct {
+	// header is the first folded segment's; Version 0 until one is.
 	header  Header
 	records []CellRecord
 	// replicas holds the journaled replica prefix of each cell that has
 	// no cell record yet, in replica order. A cell record supersedes (and
 	// drops) its cell's replica records on read-back.
-	replicas map[int][]ReplicaRecord
+	replicas map[int][]sweep.ReplicaOutcome
+	// done names the segment holding each folded cell record.
+	done  map[int]string
+	tally tally
+	// nextSeg and the torn tail of the final segment, if any, are the
+	// strict reader's: the segment's name and the intact prefix to
+	// rewrite it with (possibly empty — then the file is removed).
 	nextSeg  int
-	// torn tail of the final segment, if any: the segment's name and the
-	// intact prefix to rewrite it with (possibly empty — then the file is
-	// removed outright).
 	tornSeg  string
 	tornKeep []byte
+}
+
+// fold applies one segment's records under the journal rules, in record
+// order: every header names the first one's checkpoint
+// (ErrStaleCheckpoint otherwise); no cell is journaled twice; a cell
+// record's index equals its result's; and a cell's replica records run
+// contiguous from replica 0, all before its cell record. A record that
+// breaks a rule is ErrCorrupt. Past the records it returns seg.err, with
+// damage wrapped as ErrCorrupt too. Damage is the one error that also
+// wraps recordlog.ErrCorrupt, and the one after which the fold holds the
+// segment's whole intact prefix, so a reader that tolerates it folds on.
+func (cp *checkpoint) fold(name string, seg segment) error {
+	for li, rec := range seg.recs {
+		switch rec := rec.(type) {
+		case Header:
+			if cp.header.Version == 0 {
+				cp.header = rec
+			} else if !cp.header.matches(rec) {
+				return fmt.Errorf("%w: segment %s header disagrees with earlier segments", ErrStaleCheckpoint, name)
+			}
+		case CellRecord:
+			if rec.Index != rec.Result.Index {
+				return fmt.Errorf("%w: segment %s record %d: index %d disagrees with result index %d",
+					ErrCorrupt, name, li, rec.Index, rec.Result.Index)
+			}
+			if prev, dup := cp.done[rec.Index]; dup {
+				return fmt.Errorf("%w: cell %d journaled in both %s and %s", ErrCorrupt, rec.Index, prev, name)
+			}
+			cp.done[rec.Index] = name
+			cp.records = append(cp.records, rec)
+			delete(cp.replicas, rec.Index)
+			cp.tally.cell(rec.Result)
+		case ReplicaRecord:
+			if prev, done := cp.done[rec.CellIndex]; done {
+				return fmt.Errorf("%w: replica record for cell %d in %s after its cell record in %s",
+					ErrCorrupt, rec.CellIndex, name, prev)
+			}
+			if got := len(cp.replicas[rec.CellIndex]); rec.Rep != got {
+				return fmt.Errorf("%w: cell %d replica %d journaled in %s but %d replica(s) precede it",
+					ErrCorrupt, rec.CellIndex, rec.Rep, name, got)
+			}
+			cp.replicas[rec.CellIndex] = append(cp.replicas[rec.CellIndex], rec.Out)
+			cp.tally.replica(rec.CellIndex, rec.Out)
+		}
+	}
+	if errors.Is(seg.err, recordlog.ErrCorrupt) {
+		return fmt.Errorf("%w: segment %s: %w", ErrCorrupt, name, seg.err)
+	}
+	return seg.err
+}
+
+// newCheckpoint returns an empty fold.
+func newCheckpoint() *checkpoint {
+	return &checkpoint{replicas: make(map[int][]sweep.ReplicaOutcome), done: make(map[int]string)}
 }
 
 // repair rewrites (or removes) a torn final segment so the checkpoint
@@ -337,13 +463,11 @@ func (cp *checkpoint) repair(fsys chaos.FS, dir string) error {
 	return recordlog.Publish(fsys, dir, cp.tornSeg, cp.tornKeep)
 }
 
-// readCheckpoint parses every segment of dir under recordlog's
-// torn-record rule: a torn tail is legal only in the final segment, whose
-// intact prefix is kept and recorded for repair; damage anywhere else is
+// readCheckpoint folds every segment of dir under recordlog's torn-record
+// rule: a torn tail is legal only in the final segment, whose intact
+// prefix is kept and recorded for repair; damage anywhere else is
 // ErrCorrupt. A record whose crc verifies was written intact, so a
-// semantic failure on it (header mismatch, duplicate cell, version skew)
-// is fatal even in the final segment. Every segment's header must match
-// segment 0's.
+// decode or rule failure on it is fatal even in the final segment.
 func readCheckpoint(dir string) (*checkpoint, error) {
 	nums, err := segments.List(nil, dir)
 	if err != nil {
@@ -352,31 +476,23 @@ func readCheckpoint(dir string) (*checkpoint, error) {
 	if len(nums) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoCheckpoint, dir)
 	}
-	cp := &checkpoint{replicas: make(map[int][]ReplicaRecord), nextSeg: nums[len(nums)-1] + 1}
-	seen := make(map[int]string)
+	cp := newCheckpoint()
+	cp.nextSeg = nums[len(nums)-1] + 1
 	for si, n := range nums {
 		name := segments.Name(n)
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
-		good, torn, err := recordlog.Replay(bytes.NewReader(raw), 0, func(li int, body []byte) error {
-			if li == 0 {
-				return cp.readHeader(si, name, body)
-			}
-			return cp.readRecord(name, li, body, seen)
-		})
-		if errors.Is(err, recordlog.ErrCorrupt) {
-			return nil, fmt.Errorf("%w: segment %s: %w", ErrCorrupt, name, err)
-		}
-		if err != nil {
+		seg := parseSegment(name, raw)
+		if err := cp.fold(name, seg); err != nil {
 			return nil, err
 		}
-		if torn {
+		if seg.torn {
 			if si < len(nums)-1 {
 				return nil, fmt.Errorf("%w: segment %s has a torn tail but is not the final segment", ErrCorrupt, name)
 			}
-			cp.tornSeg, cp.tornKeep = name, raw[:good]
+			cp.tornSeg, cp.tornKeep = name, raw[:seg.good]
 		}
 	}
 	if cp.header.Version == 0 {
@@ -396,112 +512,6 @@ func readCheckpoint(dir string) (*checkpoint, error) {
 // publish left a damaged segment file behind that must be swept before
 // creating fresh.
 var errGenesisTorn = errors.New("only segment torn before its header")
-
-// decodeHeader parses one segment's header record and checks its
-// schema version.
-func decodeHeader(name string, body []byte) (Header, error) {
-	var h Header
-	if err := json.Unmarshal(body, &h); err != nil {
-		return h, fmt.Errorf("%w: segment %s header: %v", ErrCorrupt, name, err)
-	}
-	if h.Version != recordVersion {
-		return h, fmt.Errorf("%w: segment %s has version %d, this reader speaks %d",
-			ErrStaleCheckpoint, name, h.Version, recordVersion)
-	}
-	return h, nil
-}
-
-// readHeader folds one segment's header record into the checkpoint.
-func (cp *checkpoint) readHeader(si int, name string, body []byte) error {
-	h, err := decodeHeader(name, body)
-	if err != nil {
-		return err
-	}
-	if si == 0 {
-		cp.header = h
-		return nil
-	}
-	if !cp.header.matches(h) {
-		return fmt.Errorf("%w: segment %s header disagrees with segment 0", ErrStaleCheckpoint, name)
-	}
-	return nil
-}
-
-// decodeRecord parses one non-header record, dispatching on the JSON
-// shape: cell records carry "result", replica records carry "out". Both
-// kinds share recordVersion 1 — the discriminator is additive, so
-// pre-replica checkpoints read unchanged. On success exactly one of the
-// two records is non-nil.
-func decodeRecord(name string, li int, body []byte) (*CellRecord, *ReplicaRecord, error) {
-	var probe struct {
-		Result *json.RawMessage `json:"result"`
-		Out    *json.RawMessage `json:"out"`
-	}
-	err := json.Unmarshal(body, &probe)
-	switch {
-	case err != nil:
-	case probe.Result != nil:
-		var rec CellRecord
-		if err = json.Unmarshal(body, &rec); err == nil {
-			return &rec, nil, nil
-		}
-	case probe.Out != nil:
-		var rec ReplicaRecord
-		if err = json.Unmarshal(body, &rec); err == nil {
-			return nil, &rec, nil
-		}
-	default:
-		err = errors.New("neither a cell nor a replica record")
-	}
-	return nil, nil, fmt.Errorf("%w: segment %s record %d: %v", ErrCorrupt, name, li, err)
-}
-
-// readRecord folds one non-header record into the checkpoint.
-func (cp *checkpoint) readRecord(name string, li int, body []byte, seen map[int]string) error {
-	cell, rep, err := decodeRecord(name, li, body)
-	switch {
-	case err != nil:
-		return err
-	case cell != nil:
-		return cp.readCell(name, li, *cell, seen)
-	default:
-		return cp.readReplica(name, *rep, seen)
-	}
-}
-
-// readCell folds one cell record, rejecting duplicate cell indexes (no
-// legitimate writer produces them; a duplicate means mixed checkpoints).
-func (cp *checkpoint) readCell(name string, li int, rec CellRecord, seen map[int]string) error {
-	if rec.Index != rec.Result.Index {
-		return fmt.Errorf("%w: segment %s record %d: index %d disagrees with result index %d",
-			ErrCorrupt, name, li, rec.Index, rec.Result.Index)
-	}
-	if prev, dup := seen[rec.Index]; dup {
-		return fmt.Errorf("%w: cell %d journaled in both %s and %s", ErrCorrupt, rec.Index, prev, name)
-	}
-	seen[rec.Index] = name
-	cp.records = append(cp.records, rec)
-	// The cell record folds its whole replica sequence; the journaled
-	// prefix is now redundant.
-	delete(cp.replicas, rec.Index)
-	return nil
-}
-
-// readReplica folds one replica record. Replicas of a cell must read
-// back contiguous from 0 and must precede the cell's own record — any
-// other shape means mixed or reordered checkpoints, which is fatal.
-func (cp *checkpoint) readReplica(name string, rec ReplicaRecord, seen map[int]string) error {
-	if prev, done := seen[rec.CellIndex]; done {
-		return fmt.Errorf("%w: replica record for cell %d in %s after its cell record in %s",
-			ErrCorrupt, rec.CellIndex, name, prev)
-	}
-	if got := len(cp.replicas[rec.CellIndex]); rec.Rep != got {
-		return fmt.Errorf("%w: cell %d replica %d journaled in %s but %d replica(s) precede it",
-			ErrCorrupt, rec.CellIndex, rec.Rep, name, got)
-	}
-	cp.replicas[rec.CellIndex] = append(cp.replicas[rec.CellIndex], rec)
-	return nil
-}
 
 // ReadCheckpoint reads a checkpoint directory without opening it for
 // writing: the header and every journaled cell, tolerating (but not

@@ -219,6 +219,42 @@ func TestTruncatedWholeFinalSegment(t *testing.T) {
 	}
 }
 
+// TestEmptySegmentIsTorn covers a segment file that lost every byte, as
+// a torn rename can leave it: a lone one is a first publish that never
+// became durable, so Open starts fresh; a final one after intact
+// segments is a torn tail, which Open removes.
+func TestEmptySegmentIsTorn(t *testing.T) {
+	grid := testGrid(10)
+	dir := t.TempDir()
+	seg := filepath.Join(dir, segments.Name(0))
+	if err := os.WriteFile(seg, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, recs, err := Open(dir, grid, 0, 1); err != nil || len(recs) != 0 {
+		t.Fatalf("open over a lone empty segment: %d records, %v (want a fresh start)", len(recs), err)
+	}
+
+	dir = t.TempDir()
+	j, err := Create(dir, grid, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(fakeResult(t, grid, 1, 4))
+	if err := j.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	seg = filepath.Join(dir, segments.Name(j.nextSeg))
+	if err := os.WriteFile(seg, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, recs, err := Open(dir, grid, 0, 1); err != nil || len(recs) != 1 {
+		t.Fatalf("open: %d records, %v (want 1)", len(recs), err)
+	}
+	if _, err := os.Stat(seg); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("empty final segment should be removed by repair, stat: %v", err)
+	}
+}
+
 // TestCorruptMiddleIsFatal flips a byte in a non-final segment: that is
 // real corruption, not a torn tail, and must not be silently dropped.
 func TestCorruptMiddleIsFatal(t *testing.T) {
@@ -454,4 +490,172 @@ func TestSemanticCorruptionInFinalSegmentIsFatal(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, segments.Name(2))); err != nil {
 		t.Errorf("evidence segment removed: %v", err)
 	}
+}
+
+// FuzzCheckpointReaders is the differential check of the two checkpoint
+// readers. The script is read three bytes at a time as crc-intact
+// records — a header (the checkpoint's own, another shard's, a future
+// version's, or one that does not decode), a cell record (its index and
+// its result's index may disagree) or a replica record — or as a break
+// to the next of at most four segments; tear > 0 then cuts bytes off the
+// last segment. Whatever ReadCheckpoint accepts, the Watcher must accept
+// with the counts the surviving records imply, cold and from its cache;
+// whatever it rejects as ErrCorrupt, ErrStaleCheckpoint or
+// ErrNoCheckpoint, the Watcher must reject with the same sentinel.
+func FuzzCheckpointReaders(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 0}, uint16(0))                   // a replica record after its cell's record
+	f.Add([]byte{0, 0, 0, 1, 5, 129}, uint16(0))                          // cell record index 5, result index 3
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 3, 0, 0, 0, 3, 0, 1, 1, 0}, uint16(0)) // segment 1's header does not decode
+	f.Add([]byte{0, 0, 0, 2, 1, 4, 2, 1, 1, 3, 0, 0, 0, 0, 0, 1, 1, 3, 2, 2, 0}, uint16(5))
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 3, 0, 0, 0, 1, 0}, uint16(0))
+	f.Add([]byte{0, 2, 0}, uint16(0))
+	f.Add([]byte{0, 0, 0, 2, 4, 1}, uint16(0))
+	f.Add([]byte{0, 0, 0}, uint16(3))
+	grid := testGrid(7)
+	base, err := headerFor(grid, 0, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	other, err := headerFor(grid, 1, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	future := base
+	future.Version = recordVersion + 1
+	f.Fuzz(func(t *testing.T, script []byte, tear uint16) {
+		type line struct {
+			rec   any // CellRecord, ReplicaRecord, or nil for a header
+			frame []byte
+		}
+		segs := [][]line{nil}
+		for i := 0; i+2 < len(script); i += 3 {
+			op, a, b := script[i], script[i+1], script[i+2]
+			last := &segs[len(segs)-1]
+			var (
+				rec  any
+				body []byte
+				err  error
+			)
+			switch op % 4 {
+			case 0:
+				switch a % 4 {
+				case 0:
+					body, err = json.Marshal(base)
+				case 1:
+					body, err = json.Marshal(other)
+				case 2:
+					body, err = json.Marshal(future)
+				default:
+					body = []byte(`{"version":1,"grid":"not a grid"}`)
+				}
+			case 1:
+				idx, ridx := int(a%6), int(a%6)
+				if b >= 128 {
+					ridx = int(b % 6)
+				}
+				c := CellRecord{Index: idx, Result: sweep.CellResult{
+					Cell:          sweep.Cell{Index: ridx},
+					Transmissions: int(b % 11),
+					Interactions:  sweep.Metric{Count: 1 + int(a%3), Mean: float64(b % 5)},
+				}}
+				rec = c
+				body, err = json.Marshal(c)
+			case 2:
+				r := ReplicaRecord{CellIndex: int(a % 6), Rep: int(b % 3),
+					Out: sweep.ReplicaOutcome{Interactions: float64(a % 5), Transmissions: int(b % 7)}}
+				rec = r
+				body, err = json.Marshal(r)
+			default:
+				if len(*last) > 0 && len(segs) < 4 {
+					segs = append(segs, nil)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			*last = append(*last, line{rec: rec, frame: recordlog.AppendFrame(nil, body)})
+		}
+		if len(segs[len(segs)-1]) == 0 {
+			return
+		}
+
+		// Write the segments, tearing the last, and keep the records whose
+		// whole line survives.
+		dir := t.TempDir()
+		var kept []any
+		for si, seg := range segs {
+			var raw []byte
+			for _, l := range seg {
+				raw = append(raw, l.frame...)
+			}
+			keep := len(raw)
+			if si == len(segs)-1 && tear > 0 {
+				keep -= 1 + int(tear)%len(raw)
+			}
+			end := 0
+			for _, l := range seg {
+				if end += len(l.frame); end <= keep && l.rec != nil {
+					kept = append(kept, l.rec)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, segments.Name(si)), raw[:keep], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// The counts the surviving records imply, when the journal is
+		// valid. Every value is a small integer, so sums are exact in any
+		// order.
+		type counts struct {
+			cells, replicas int
+			interactions    float64
+			transmissions   int
+		}
+		var want counts
+		inflight := make(map[int][]sweep.ReplicaOutcome)
+		for _, rec := range kept {
+			switch rec := rec.(type) {
+			case CellRecord:
+				m := rec.Result.Interactions
+				want.cells++
+				want.interactions += m.Mean * float64(m.Count)
+				want.transmissions += rec.Result.Transmissions
+				delete(inflight, rec.Index)
+			case ReplicaRecord:
+				inflight[rec.CellIndex] = append(inflight[rec.CellIndex], rec.Out)
+			}
+		}
+		for _, outs := range inflight {
+			for _, o := range outs {
+				want.replicas++
+				want.interactions += o.Interactions
+				want.transmissions += o.Transmissions
+			}
+		}
+
+		_, recs, rerr := ReadCheckpoint(dir)
+		w := NewWatcher(dir)
+		for _, poll := range []string{"cold", "cached"} {
+			snap, werr := w.Snapshot()
+			if rerr != nil {
+				for _, sentinel := range []error{ErrCorrupt, ErrStaleCheckpoint, ErrNoCheckpoint} {
+					if errors.Is(rerr, sentinel) && !errors.Is(werr, sentinel) {
+						t.Fatalf("%s watcher: ReadCheckpoint rejects with %v, Watcher returns %v", poll, rerr, werr)
+					}
+				}
+				continue
+			}
+			if werr != nil {
+				t.Fatalf("%s watcher: ReadCheckpoint accepts %d cells, Watcher rejects: %v", poll, len(recs), werr)
+			}
+			if len(recs) != want.cells {
+				t.Fatalf("ReadCheckpoint returned %d cells, the surviving records hold %d", len(recs), want.cells)
+			}
+			got := counts{snap.CellsDone, snap.ReplicasDone, snap.Interactions, snap.Transmissions}
+			if got != want {
+				t.Fatalf("%s watcher counts %+v, the surviving records imply %+v", poll, got, want)
+			}
+		}
+	})
 }

@@ -200,9 +200,6 @@ func TestReaderWhileWriter(t *testing.T) {
 	if !sawProgress && polls > 0 {
 		t.Log("note: no poll observed a progress record (timing-dependent, not a failure)")
 	}
-	if final.WallMsSum < 0 {
-		t.Fatal("negative wall-time sum")
-	}
 }
 
 // TestWatcherToleratesTornTail truncates the last published segment

@@ -8,6 +8,7 @@ import (
 
 	"doda/internal/chaos"
 	"doda/internal/recordlog"
+	"doda/internal/sweep"
 )
 
 // progressName is the advisory progress record's file name inside a
@@ -30,8 +31,9 @@ type Progress struct {
 	CellsDone  int `json:"cells_done"`
 	CellsTotal int `json:"cells_total"`
 	FreshCells int `json:"fresh_cells"`
-	// ReplicasDone counts journal-visible replicas of cells still in
-	// flight (only meaningful under per-replica checkpointing).
+	// ReplicasDone counts the completed replicas of cells still in
+	// flight: every fresh one this process ran, whether or not it was
+	// journaled, plus a resumed cell's journaled prefix.
 	ReplicasDone int `json:"replicas_done,omitempty"`
 	// Interactions and Transmissions total everything simulated so far,
 	// including in-flight cells' completed replicas.
@@ -42,6 +44,47 @@ type Progress struct {
 	ElapsedMs float64 `json:"elapsed_ms"`
 	// Done marks the shard complete; the final flush sets it.
 	Done bool `json:"done,omitempty"`
+}
+
+// tally keeps a shard's progress counters, fed one replica or cell at a
+// time. A cell's record replaces the partial sums its replicas added, so
+// in-flight work counts exactly once.
+type tally struct {
+	cellsDone, replicasDone int
+	interactions            float64
+	transmissions           int
+	inflight                map[int]partial
+}
+
+// partial is the replica sums of one cell with no record yet.
+type partial struct {
+	replicas      int
+	interactions  float64
+	transmissions int
+}
+
+func (t *tally) replica(cell int, out sweep.ReplicaOutcome) {
+	if t.inflight == nil {
+		t.inflight = make(map[int]partial)
+	}
+	p := t.inflight[cell]
+	p.replicas++
+	p.interactions += out.Interactions
+	p.transmissions += out.Transmissions
+	t.inflight[cell] = p
+	t.replicasDone++
+	t.interactions += out.Interactions
+	t.transmissions += out.Transmissions
+}
+
+func (t *tally) cell(r sweep.CellResult) {
+	p := t.inflight[r.Index]
+	delete(t.inflight, r.Index)
+	m := r.Interactions
+	t.cellsDone++
+	t.replicasDone -= p.replicas
+	t.interactions += m.Mean*float64(m.Count) - p.interactions
+	t.transmissions += r.Transmissions - p.transmissions
 }
 
 // writeProgress atomically replaces dir's progress record: crc-framed

@@ -102,22 +102,22 @@ func Run(grid sweep.Grid, dir string, opt Options) ([]sweep.CellResult, sweep.To
 	}
 
 	var (
-		j     *Journal
-		recs  []CellRecord
-		prior map[int][]sweep.ReplicaOutcome
+		j  *Journal
+		cp *checkpoint
 	)
 	fsys := fsOf(opt.FS)
 	if opt.Resume {
-		j, recs, prior, err = openResumeFS(fsys, dir, grid, opt.ShardIndex, shards)
+		j, cp, err = openResumeFS(fsys, dir, grid, opt.ShardIndex, shards)
 	} else {
 		j, err = createFS(fsys, dir, grid, opt.ShardIndex, shards)
+		cp = newCheckpoint()
 	}
 	if err != nil {
 		return nil, sweep.Totals{}, err
 	}
 
-	restored := make(map[int]sweep.CellResult, len(recs))
-	for _, rec := range recs {
+	restored := make(map[int]sweep.CellResult, len(cp.records))
+	for _, rec := range cp.records {
 		if rec.Index < 0 || rec.Index >= len(cells) {
 			return nil, sweep.Totals{}, fmt.Errorf("%w: cell index %d outside grid of %d cells",
 				ErrStaleCheckpoint, rec.Index, len(cells))
@@ -131,7 +131,7 @@ func Run(grid sweep.Grid, dir string, opt Options) ([]sweep.CellResult, sweep.To
 		}
 		restored[rec.Index] = rec.Restore()
 	}
-	for idx, outs := range prior {
+	for idx, outs := range cp.replicas {
 		if idx < 0 || idx >= len(cells) {
 			return nil, sweep.Totals{}, fmt.Errorf("%w: replica cell index %d outside grid of %d cells",
 				ErrStaleCheckpoint, idx, len(cells))
@@ -156,16 +156,9 @@ func Run(grid sweep.Grid, dir string, opt Options) ([]sweep.CellResult, sweep.To
 		wallMu sync.Mutex
 		walls  = make(map[int]float64)
 	)
-	progressOn := opt.ProgressEvery >= 0
 	var prog *progressTracker
-	if progressOn {
-		prog = newProgressTracker(fsys, dir, opt.ProgressEvery, opt.OnProgress, len(mine))
-		for _, rec := range recs {
-			prog.addRestoredCell(rec)
-		}
-		for idx, outs := range prior {
-			prog.addRestoredReplicas(idx, outs)
-		}
+	if opt.ProgressEvery >= 0 {
+		prog = newProgressTracker(fsys, dir, opt.ProgressEvery, opt.OnProgress, len(mine), cp.tally)
 	}
 
 	// The emit path: fresh results arrive in increasing cell-index order
@@ -248,11 +241,11 @@ func Run(grid sweep.Grid, dir string, opt Options) ([]sweep.CellResult, sweep.To
 			return nil
 		},
 	}
-	if len(prior) > 0 {
+	if len(cp.replicas) > 0 {
 		// The map is read-only for the whole run, so worker goroutines
 		// can consult it without locking.
 		sopt.ResumeReplicas = func(c sweep.Cell) []sweep.ReplicaOutcome {
-			return prior[c.Index]
+			return cp.replicas[c.Index]
 		}
 	}
 	if opt.PerReplica || prog != nil {
@@ -300,10 +293,8 @@ func Run(grid sweep.Grid, dir string, opt Options) ([]sweep.CellResult, sweep.To
 	return out, sweep.TotalsOf(out), nil
 }
 
-// progressTracker accumulates the shard's observability counters and
-// flushes them — throttled — as the advisory progress record. In-flight
-// cells' replica contributions are tracked per cell so a finished cell
-// swaps its replica-level sums for its exact cell-level totals.
+// progressTracker feeds the shard's tally from live replicas and cells
+// and flushes it — throttled — as the advisory progress record.
 type progressTracker struct {
 	mu    sync.Mutex
 	fs    chaos.FS
@@ -313,14 +304,12 @@ type progressTracker struct {
 	last  time.Time
 	on    func(Progress)
 	p     Progress
-	// Per-cell sums of in-flight replica contributions, removed when the
-	// cell completes.
-	infInts  map[int]float64
-	infTrans map[int]int
-	infReps  map[int]int
+	tally tally
 }
 
-func newProgressTracker(fsys chaos.FS, dir string, every time.Duration, on func(Progress), total int) *progressTracker {
+// newProgressTracker starts from the tally of the checkpoint's restored
+// records.
+func newProgressTracker(fsys chaos.FS, dir string, every time.Duration, on func(Progress), total int, restored tally) *progressTracker {
 	if every == 0 {
 		every = defaultProgressEvery
 	}
@@ -331,56 +320,21 @@ func newProgressTracker(fsys chaos.FS, dir string, every time.Duration, on func(
 	// must not register on runs too short to observe.
 	return &progressTracker{
 		fs: fsOf(fsys), dir: dir, start: now, every: every, last: now, on: on,
-		p:       Progress{CellsTotal: total},
-		infInts: map[int]float64{}, infTrans: map[int]int{}, infReps: map[int]int{},
-	}
-}
-
-// addRestoredCell seeds the counters with one journaled complete cell.
-// Called before the sweep starts; no locking needed.
-func (t *progressTracker) addRestoredCell(rec CellRecord) {
-	m := rec.Result.Interactions
-	t.p.CellsDone++
-	t.p.Interactions += m.Mean * float64(m.Count)
-	t.p.Transmissions += rec.Result.Transmissions
-}
-
-// addRestoredReplicas seeds the counters with a journaled mid-cell
-// replica prefix. Called before the sweep starts; no locking needed.
-func (t *progressTracker) addRestoredReplicas(idx int, outs []sweep.ReplicaOutcome) {
-	for _, o := range outs {
-		t.p.ReplicasDone++
-		t.p.Interactions += o.Interactions
-		t.p.Transmissions += o.Transmissions
-		t.infInts[idx] += o.Interactions
-		t.infTrans[idx] += o.Transmissions
-		t.infReps[idx]++
+		p: Progress{CellsTotal: total}, tally: restored,
 	}
 }
 
 func (t *progressTracker) replicaDone(idx int, out sweep.ReplicaOutcome) {
 	t.mu.Lock()
-	t.p.ReplicasDone++
-	t.p.Interactions += out.Interactions
-	t.p.Transmissions += out.Transmissions
-	t.infInts[idx] += out.Interactions
-	t.infTrans[idx] += out.Transmissions
-	t.infReps[idx]++
+	t.tally.replica(idx, out)
 	t.maybeFlush()
 	t.mu.Unlock()
 }
 
 func (t *progressTracker) cellDone(r sweep.CellResult) {
-	m := r.Interactions
 	t.mu.Lock()
-	t.p.CellsDone++
+	t.tally.cell(r)
 	t.p.FreshCells++
-	t.p.ReplicasDone -= t.infReps[r.Index]
-	t.p.Interactions += m.Mean*float64(m.Count) - t.infInts[r.Index]
-	t.p.Transmissions += r.Transmissions - t.infTrans[r.Index]
-	delete(t.infReps, r.Index)
-	delete(t.infInts, r.Index)
-	delete(t.infTrans, r.Index)
 	t.maybeFlush()
 	t.mu.Unlock()
 }
@@ -398,6 +352,8 @@ func (t *progressTracker) maybeFlush() {
 // contract: an advisory file must never be able to abort a sweep, so its
 // error is dropped.
 func (t *progressTracker) flushLocked() {
+	t.p.CellsDone, t.p.ReplicasDone = t.tally.cellsDone, t.tally.replicasDone
+	t.p.Interactions, t.p.Transmissions = t.tally.interactions, t.tally.transmissions
 	t.p.ElapsedMs = float64(time.Since(t.start).Nanoseconds()) / 1e6
 	p := t.p
 	_ = writeProgress(t.fs, t.dir, p)
@@ -410,7 +366,7 @@ func (t *progressTracker) flushLocked() {
 // assigned cell is journaled.
 func (t *progressTracker) finish() {
 	t.mu.Lock()
-	t.p.Done = t.p.CellsDone == t.p.CellsTotal
+	t.p.Done = t.tally.cellsDone == t.p.CellsTotal
 	t.flushLocked()
 	t.mu.Unlock()
 }
